@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every workload of BENCHMARK.json on several seeds and summarise.
+"""Run every workload of BENCHMARK.json on seeds 1-10 and summarise.
 
     python3 perfbench/baseline.py --out perfbench/baseline.json
     python3 perfbench/baseline.py --out /tmp/again.json --against perfbench/baseline.json
@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = 10   # the benchmark's protocol: ten seeds per workload
 
 
 def _run(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
@@ -36,11 +37,11 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict
     return result, record
 
 
-def summarise(bench: dict, seeds: int) -> dict:
+def summarise(bench: dict) -> dict:
     summary = {}
     for wl in (w["name"] for w in bench["workloads"]):
         runs, values = [], {m["name"]: [] for m in bench["end_to_end"]}
-        for seed in range(1, seeds + 1):
+        for seed in range(1, SEEDS + 1):
             result, record = _run(wl, seed, bench["run_seconds"], 0)
             for name in values:
                 values[name].append(result["metrics"][name]["value"])
@@ -81,7 +82,6 @@ def compare(new: dict, old: dict):
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--against", type=Path)
     args = parser.parse_args()
@@ -89,8 +89,8 @@ def main():
     from run import context
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    doc = {"context": context(), "run_seconds": bench["run_seconds"], "seeds": args.seeds,
-           "workloads": summarise(bench, args.seeds)}
+    doc = {"context": context(), "run_seconds": bench["run_seconds"], "seeds": SEEDS,
+           "workloads": summarise(bench)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.against:
         compare(doc, json.loads(args.against.read_text()))

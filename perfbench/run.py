@@ -4,12 +4,15 @@
     python3 perfbench/run.py --workload sweep64 --seed 1 --seconds 20 --trace 0
 
 Run from the repository root.  The simulator is imported from ``src/`` of
-the same tree.  Ops of the one generated input repeat until ``--seconds``
-have passed (at least one op).  The last line of standard output is one JSON
-object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
+the same tree.  Ops of the one generated input repeat a fixed number of
+times, ``workloads.ops_per_run``, which takes about ``--seconds`` on the
+reference host; the count depends only on the arguments, so two runs with
+the same arguments attempt, and fail, the same ops.  The last line of
+standard output is one JSON object: ``correct``, ``attempted``, ``failed``
+and ``metrics``.
 
 ``--trace 0`` reports the end-to-end metrics, measured with tracing off.
-``--trace 1`` runs one untraced op for reference, then traced ops, and
+``--trace 1`` runs one untraced op for reference, then as many traced ops, and
 reports the per-layer metrics.  Both write a record with the machine
 context, every op and its failure reason to ``perfbench/results/``; a traced
 run also writes its spans there.
@@ -31,7 +34,6 @@ import platform
 import resource
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,32 +98,26 @@ def context() -> dict:
 
 
 def measure_setups(workload: str, seed: int) -> list[float]:
-    """Repeat the op's set-up alone for about SETUP_BATCH_S, at least once:
-    scenario text to a constructed Sim, or RNG construction for mc_loss."""
-    import numpy as np
-    from gmetro import engine, scenario
-    from workloads import SCENARIO_TEXT
+    """Repeat the op's set-up (``workloads.set_up``, the one ops time too)
+    alone for about SETUP_BATCH_S, at least once.  The text is rendered
+    once, outside the timer, as it is for an op."""
+    from workloads import render, set_up
 
+    text = render(workload, seed)
     times = []
     spent = 0.0
     while spent < SETUP_BATCH_S:
-        t0 = time.perf_counter()
-        if workload == "mc_loss":
-            np.random.default_rng(seed)
-        else:
-            engine.Sim(scenario.parse_scenario(SCENARIO_TEXT[workload](seed)))
-        t = time.perf_counter() - t0
+        t = set_up(seed, text)[1]
         times.append(t)
         spent += t
     return times
 
 
 def end_to_end(workload: str, seed: int, seconds: float):
-    from workloads import run_op
+    from workloads import ops_per_run, run_op
 
     setups, ops = [], []
-    start = time.perf_counter()
-    while not ops or time.perf_counter() - start < seconds:
+    for _ in range(ops_per_run(workload, seconds)):
         setups += measure_setups(workload, seed)
         ops.append(run_op(workload, seed))
     metrics = {
@@ -202,14 +198,13 @@ def _layer_values(names, calls, total_ns, self_ns, counts, queue_max) -> dict:
 
 
 def traced(workload: str, seed: int, seconds: float, out_dir: Path):
-    from tracer import Tracer
-    from workloads import run_op
+    from tracer import Tracer, wrapper_cost_ns
+    from workloads import ops_per_run, run_op
 
     reference = run_op(workload, seed)
     ops, counts, qmax = [], [], []
     with Tracer() as tracer:
-        start = time.perf_counter()
-        while not ops or time.perf_counter() - start < seconds:
+        for _ in range(ops_per_run(workload, seconds)):
             tracer.begin_op(len(ops))
             ops.append(run_op(workload, seed))
             counts.append(tracer.op_counts())
@@ -224,7 +219,8 @@ def traced(workload: str, seed: int, seconds: float, out_dir: Path):
     metrics["sim.digest"] = int(reference.sim["digest"][:12], 16)
     traced_run_s = statistics.median([op.run_s for op in ops])
     metrics["trace_overhead"] = traced_run_s / reference.run_s - 1.0
-    extra = {"span_names": per_op["names"], "spans": len(tracer.start)}
+    extra = {"span_names": per_op["names"], "spans": len(tracer.start),
+             "wrapper_cost_ns": wrapper_cost_ns()}
     return [reference] + ops, metrics, extra
 
 

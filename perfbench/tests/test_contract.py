@@ -21,3 +21,13 @@ def test_printed_metrics_match_benchmark_json(trace, section, capsys):
         {m["name"]: m["unit"] for m in spec[section]}
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] == 1 + trace
+
+
+def test_op_count_depends_only_on_arguments():
+    from workloads import OP_HOST_S, ops_per_run
+
+    for workload, op_s in OP_HOST_S.items():
+        assert ops_per_run(workload, 0) == 1
+        n = ops_per_run(workload, 20)
+        assert n == ops_per_run(workload, 20)
+        assert (n - 1) * op_s < 20 <= n * op_s
