@@ -426,6 +426,20 @@ def expected_message_loss_interval(p_bit: float, blocks_per_msg: int = 1,
     return 1.0 / (msg_rate * p_msg)
 
 
+def multi_error_blocks(positions) -> int:
+    """Number of codeword blocks holding >= 2 distinct error positions.
+
+    Sorts, drops repeated positions, then counts the runs of equal block
+    index longer than one; same result as counting with ``np.unique``, at a
+    fraction of its cost on millions of positions."""
+    pos = np.sort(np.asarray(positions, dtype=np.int64))
+    distinct = np.ones(len(pos), dtype=bool)
+    distinct[1:] = pos[1:] != pos[:-1]
+    blocks = pos[distinct] // BLOCK_CODE_BITS
+    same = blocks[1:] == blocks[:-1]
+    return int(same[:1].sum()) + int(np.count_nonzero(same[1:] & ~same[:-1]))
+
+
 def simulate_message_loss_interval(p_bit: float, n_bits: int, rng: np.random.Generator,
                                    cfg: MgmtChannelConfig | None = None) -> float:
     """Monte-Carlo counterpart of :func:`expected_message_loss_interval`.
@@ -453,8 +467,6 @@ def simulate_message_loss_interval(p_bit: float, n_bits: int, rng: np.random.Gen
     for size, k in zip(sizes, counts):
         if k < 2:
             continue
-        pos = np.unique(rng.integers(0, size, int(k), dtype=np.int64))
-        _, per_block = np.unique(pos // BLOCK_CODE_BITS, return_counts=True)
-        lost += int((per_block >= 2).sum())
+        lost += multi_error_blocks(rng.integers(0, size, int(k), dtype=np.int64))
     duration = n_bits / cfg.bit_rate
     return duration / lost if lost else math.inf

@@ -28,6 +28,7 @@ from gmetro.codec import (
     int_from_bits,
     manchester_decode,
     manchester_encode,
+    multi_error_blocks,
     simulate_message_loss_interval,
     spectral_occupancy,
 )
@@ -312,6 +313,16 @@ def test_monte_carlo_agrees_with_analytic(p, n_bits):
     mc = simulate_message_loss_interval(p, n_bits, rng)
     analytic = expected_message_loss_interval(p)
     assert abs(mc - analytic) / analytic < 0.10
+
+
+def test_multi_error_blocks_matches_unique_count():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 3, 40, 3000):
+        for size in (15, 150, 45_000):
+            pos = rng.integers(0, size, n, dtype=np.int64)
+            _, per_block = np.unique(np.unique(pos) // codec.BLOCK_CODE_BITS,
+                                     return_counts=True)
+            assert multi_error_blocks(pos) == int((per_block >= 2).sum())
 
 
 def test_config_invariants():
