@@ -1,10 +1,13 @@
 """Deterministic discrete-event core.
 
-Integer-microsecond clock, a (time, insertion-sequence)-ordered event heap,
-per-entity RNG streams derived from (seed, entity id), and the frame
-delivery pipeline pack -> Manchester -> power gate -> bit errors -> decode
--> machine transition.  Identical (scenario, seed) pairs produce
-byte-identical traces.
+Integer-microsecond clock, a (time, insertion-sequence)-ordered heap of
+typed events, each entry holding the handler that runs it, per-entity RNG
+streams derived from (seed, entity id), and one frame delivery pipeline for
+both directions: pack -> power gate -> bit errors -> decode -> machine
+transition (a frame that fails the power gate is never packed).  Bit errors
+are drawn on decoded bits, so the Manchester line code, which is modelled in
+``codec`` for the spectral mask, is not applied here.  Identical (scenario,
+seed) pairs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -321,6 +324,11 @@ class Metrics:
 # --------------------------------------------------------------------------
 # runtime entities
 
+def ms_to_us(ms: float) -> int:
+    """Scenario milliseconds to clock microseconds, rounded to the nearest tick."""
+    return int(round(ms * 1000.0))
+
+
 def entity_rng(seed: int, entity: str, stream: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{entity}/{stream}".encode()).digest()
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
@@ -329,36 +337,55 @@ def entity_rng(seed: int, entity: str, stream: str) -> np.random.Generator:
 @dataclass
 class RuEntity:
     name: str
-    spec: RuSpec
     machine: RuMachine
     laser: object
-    node: str
     channel: int
     rng_drift: np.random.Generator
     rng_channel: np.random.Generator
     power_on_us: int = 0
     powered: bool = False
-    locked_at_us: int | None = None
     pending_relock_since_us: int | None = None
     seq: int = 0
 
 
 @dataclass
+class PrimaryTx:
+    """Transmitter half of a primary CO.  An RU machine tunes it to the NMS
+    channel; once locked it hands the commanded port to its CO half."""
+    name: str                                   # trace entity "<co>.tx"
+    co: str
+    machine: RuMachine
+    laser: object
+    pending_assign: tuple[int, int] | None = None
+
+
+@dataclass
 class CoEntity:
     name: str
-    spec: CoSpec
     machine: CoMachine
-    node: str
     rng_meas: np.random.Generator
     rng_channel: np.random.Generator
-    own_machine: RuMachine | None = None   # primary transceiver half
-    own_laser: object | None = None
-    pending_assign: tuple[int, int] | None = None
+    tx: PrimaryTx | None = None
     seq: int = 0
 
 
-def _build_laser(family: str):
-    return LASER_FAMILIES[family]()
+@dataclass
+class PendingAck:
+    """A reliable frame on the air, kept for retransmission until acked."""
+    sender: RuEntity | CoEntity
+    frame: MgmtFrame
+    port: int
+    retries: int = 0
+
+
+# `retry` value of a resend that goes out under the sender's next seq
+NEW_SEQ = -1
+
+DECODE_LOSS = {
+    codec.SyncNotFound: "SYNC_NOT_FOUND",
+    codec.FecFailure: "FEC_FAILURE",
+    codec.CrcMismatch: "CRC_MISMATCH",
+}
 
 
 # --------------------------------------------------------------------------
@@ -382,10 +409,16 @@ class Sim:
         self.trace = Trace()
         self.metrics = Metrics()
         self.now_us = 0
-        self.horizon_us = int(round(scenario.run.horizon_ms * 1000.0))
+        self.horizon_us = ms_to_us(scenario.run.horizon_ms)
+        self._drift_tick_us = ms_to_us(scenario.run.drift_tick_ms)
+        self._monitor_tick_us = ms_to_us(scenario.run.monitor_tick_ms)
+        # entries are (time_us, insertion seq, handler, args), run as
+        # handler(self, *args); the seq breaks ties, so the order of
+        # _schedule calls is part of every trace.  Handlers are plain
+        # functions, not bound methods, so no entry refers back to the Sim.
         self._heap: list = []
         self._seq = 0
-        self._pending_acks: dict = {}   # (sender, type, seq) -> retry state
+        self._pending_acks: dict[tuple, PendingAck] = {}  # (sender, type, seq)
         self._last_accepted: dict = {}  # (receiver, sender, type) -> seq
 
         seed = scenario.run.seed
@@ -393,27 +426,26 @@ class Sim:
                                 scenario.run.latency_worst_ms)
         tables: dict[str, lasers.CalibrationTable] = {}
 
+        def table(family: str) -> lasers.CalibrationTable:
+            if family not in tables:
+                tables[family] = calibrate(LASER_FAMILIES[family](), self.plan)
+            return tables[family]
+
         self.rus: dict[str, RuEntity] = {}
         for spec in scenario.rus:
-            laser = _build_laser(spec.laser)
-            table = None
-            if spec.calibrated:
-                if spec.laser not in tables:
-                    tables[spec.laser] = calibrate(_build_laser(spec.laser), self.plan)
-                table = tables[spec.laser]
+            laser = LASER_FAMILIES[spec.laser]()
             machine = RuMachine(
-                calibration=table,
+                calibration=table(spec.laser) if spec.calibrated else None,
                 sweep_plan=sweep_plan,
                 full_power_dbm=scenario.mgmt.tx_power_dbm,
-                settle_us=int(laser.settle_time_ms * 1000),
+                settle_us=ms_to_us(laser.settle_time_ms),
                 co_tx_power_dbm=scenario.mgmt.tx_power_dbm,
                 sweep_margin_db=scenario.mgmt.sweep_margin_db,
                 max_tx_power_dbm=scenario.mgmt.max_tx_power_dbm,
                 rx_sensitivity_dbm=scenario.mgmt.rx_sensitivity_dbm,
             )
             self.rus[spec.name] = RuEntity(
-                name=spec.name, spec=spec, machine=machine, laser=laser,
-                node=spec.name, channel=spec.channel,
+                name=spec.name, machine=machine, laser=laser, channel=spec.channel,
                 rng_drift=entity_rng(seed, spec.name, "drift"),
                 rng_channel=entity_rng(seed, spec.name, "channel"),
             )
@@ -427,56 +459,51 @@ class Sim:
                 sweep_margin_db=scenario.mgmt.sweep_margin_db,
                 max_tx_power_dbm=scenario.mgmt.max_tx_power_dbm,
             )
-            entity = CoEntity(
-                name=spec.name, spec=spec, machine=machine, node=spec.name,
+            co = CoEntity(
+                name=spec.name, machine=machine,
                 rng_meas=entity_rng(seed, spec.name, "meas"),
                 rng_channel=entity_rng(seed, spec.name, "channel"),
             )
             if spec.role == "primary":
-                own_laser = _build_laser(spec.laser)
-                if spec.laser not in tables:
-                    tables[spec.laser] = calibrate(_build_laser(spec.laser), self.plan)
-                entity.own_laser = own_laser
-                entity.own_machine = RuMachine(
-                    role=Role.PRIMARY,
-                    calibration=tables[spec.laser],
-                    sweep_plan=sweep_plan,
-                    full_power_dbm=scenario.mgmt.tx_power_dbm,
-                    settle_us=int(own_laser.settle_time_ms * 1000),
-                )
-            self.cos[spec.name] = entity
+                laser = LASER_FAMILIES[spec.laser]()
+                co.tx = PrimaryTx(
+                    name=f"{spec.name}.tx", co=spec.name, laser=laser,
+                    machine=RuMachine(
+                        role=Role.PRIMARY,
+                        calibration=table(spec.laser),
+                        sweep_plan=sweep_plan,
+                        full_power_dbm=scenario.mgmt.tx_power_dbm,
+                        settle_us=ms_to_us(laser.settle_time_ms),
+                    ))
+            self.cos[spec.name] = co
 
         self._seed_initial_events()
 
     # ---------------------------------------------------------------- queue
 
-    def _schedule(self, time_us: int, target: str, kind: str, payload=None):
-        heapq.heappush(self._heap, (int(time_us), self._seq, target, kind, payload))
+    def _schedule(self, time_us: int, handler, *args):
+        heapq.heappush(self._heap, (time_us, self._seq, handler, args))
         self._seq += 1
 
     def _seed_initial_events(self):
         run = self.scenario.run
         for spec in self.scenario.rus:
-            self._schedule(int(spec.start_ms * 1000), spec.name, "POWER_ON")
-        nms_us = int(run.nms_at_ms * 1000)
-        for co in self.scenario.cos:
-            if co.role == "primary":
-                self._schedule(nms_us, co.name, "NMS_COMMAND",
-                               (co.nms_channel, co.nms_channel))
-            else:
-                for spec in self.scenario.rus:
-                    self._schedule(nms_us, co.name, "NMS_COMMAND",
-                                   (spec.channel, spec.channel))
+            self._schedule(ms_to_us(spec.start_ms), Sim._power_on, self.rus[spec.name])
+        nms_us = ms_to_us(run.nms_at_ms)
+        for spec in self.scenario.cos:
+            co = self.cos[spec.name]
+            channels = [spec.nms_channel] if co.tx is not None else \
+                [ru.channel for ru in self.rus.values()]
+            for channel in channels:
+                self._schedule(nms_us, Sim._nms_command, co, channel, channel)
         for fault in self.scenario.faults:
-            at = int(fault.at_ms * 1000)
-            if fault.kind == "cut":
-                self._schedule(at, "plant", "FIBER_CUT", fault.span)
-            elif fault.kind == "restore":
-                self._schedule(at, "plant", "FIBER_RESTORE", fault.span)
+            at = ms_to_us(fault.at_ms)
+            if fault.kind == "ber":
+                self._schedule(at, Sim._ber_change, fault.ber)
             else:
-                self._schedule(at, "plant", "POWER_CHANGE", fault.ber)
+                self._schedule(at, Sim._plant_change, fault.kind, fault.span)
 
-    # ---------------------------------------------------------------- helpers
+    # ---------------------------------------------------------------- sending
 
     def _lost(self, entity: str, frame: MgmtFrame, reason: str, detail: str = ""):
         self.metrics.frames_lost[reason] = self.metrics.frames_lost.get(reason, 0) + 1
@@ -488,204 +515,164 @@ class Sim:
         bits = codec.packed_frame_bits(len(frame.payload))
         return int(round(bits / self.mgmt.bit_rate * 1e6))
 
-    def _ru_emission(self, ru: RuEntity):
-        return ru.laser.emission()
+    def _send(self, sender: RuEntity | CoEntity, frame: MgmtFrame,
+              port: int | None = None, retry: int | None = None):
+        """Put a frame on the air from an RU, or from a CO's ``port``.
 
-    def _co_port_tx(self, co: CoEntity, port: int) -> tuple[float, float]:
-        """(frequency THz, power dBm) of the CO-side transmitter on a port."""
-        if co.own_laser is not None:
-            state = co.own_laser.emission()
-            return state.frequency_thz, state.power_dbm
-        return self.plan.center_thz(port), self.scenario.mgmt.tx_power_dbm
-
-    # ---------------------------------------------------------------- sending
-
-    def _send_from_ru(self, ru: RuEntity, frame: MgmtFrame, wire_seq: int | None = None):
-        retry = wire_seq is not None
-        if wire_seq is None:
-            wire_seq = ru.seq
-            ru.seq = (ru.seq + 1) % 16
-        frame = MgmtFrame(frame.msg_type, wire_seq, frame.payload)
+        A first transmission (``retry`` None) is traced SEND, anything else
+        RETRY: ``retry`` is then the wire seq a link-layer retransmission
+        reuses, or NEW_SEQ for a resend under the sender's next seq."""
+        if retry is None or retry == NEW_SEQ:
+            seq = sender.seq
+            sender.seq = (seq + 1) % 16
+        else:
+            seq = retry
+        frame = MgmtFrame(frame.msg_type, seq, frame.payload)
         self.metrics.frames_sent += 1
-        state = self._ru_emission(ru)
-        self.trace.add(self.now_us, ru.name, "RETRY" if retry else "SEND",
-                       f"type={frame.msg_type.name} seq={frame.seq} "
-                       f"f={state.frequency_thz:.6f}THz p={state.power_dbm:.1f}dBm")
-        # the crosstalk rule governs reduced-power sweep transmissions; a
-        # locked RU re-announcing at full power on its own channel is normal
-        # operation
-        if ru.machine.state in (RuState.SWEEP, RuState.FINE_TUNE) and \
-                state.power_dbm < ru.machine.full_power_dbm - 1e-9:
-            self._check_sweep_crosstalk(ru, state)
-        try:
-            path = self.topology.active_path(ru.name)
-        except NoPath:
-            self._lost(ru.name, frame, LOST_NO_PATH)
-            return
-        co = self.cos[path.co]
-        if self.scenario.run.safety_checks:
-            self._check_upstream_isolation(ru, state, path.co)
-        arrival = self.now_us + self._airtime_us(frame) + \
-            int(round(path.length_km(self.topology) * PROPAGATION_US_PER_KM))
-        self._arm_retry(ru.name, frame, port=None)
-        self._schedule(arrival, co.name, "FRAME_ARRIVAL",
-                       (ru.name, frame, state.frequency_thz, state.power_dbm,
-                        ru.channel))
-
-    def _send_from_co(self, co: CoEntity, frame: MgmtFrame, port: int,
-                      wire_seq: int | None = None, mark_retry: bool = False):
-        retry = wire_seq is not None or mark_retry
-        if wire_seq is None:
-            wire_seq = co.seq
-            co.seq = (co.seq + 1) % 16
-        frame = MgmtFrame(frame.msg_type, wire_seq, frame.payload)
-        self.metrics.frames_sent += 1
-        f_thz, power = self._co_port_tx(co, port)
-        self.trace.add(self.now_us, f"{co.name}.p{port}", "RETRY" if retry else "SEND",
+        if isinstance(sender, RuEntity):
+            label, port, laser = sender.name, sender.channel, sender.laser
+        else:
+            label = f"{sender.name}.p{port}"
+            laser = sender.tx.laser if sender.tx is not None else None
+        if laser is None:   # a managed CO's fixed-grid port transmitter
+            f_thz, power = self.plan.center_thz(port), self.scenario.mgmt.tx_power_dbm
+        else:
+            state = laser.emission()
+            f_thz, power = state.frequency_thz, state.power_dbm
+        self.trace.add(self.now_us, label, "SEND" if retry is None else "RETRY",
                        f"type={frame.msg_type.name} seq={frame.seq} "
                        f"f={f_thz:.6f}THz p={power:.1f}dBm")
         try:
-            ru_name = self.topology.ru_for_channel(port)
-            path = self.topology.path_to_co(ru_name, co.name)
-        except (NoPath, link.LinkError):
-            self._lost(f"{co.name}.p{port}", frame, LOST_NO_PATH)
+            receiver, path = self._route(sender, port)
+        except link.LinkError:
+            self._lost(label, frame, LOST_NO_PATH)
             return
-        if self.scenario.run.safety_checks:
-            self._check_downstream_isolation(co, port, f_thz, power)
+        self._check_send(sender, receiver, port, f_thz, power)
         arrival = self.now_us + self._airtime_us(frame) + \
             int(round(path.length_km(self.topology) * PROPAGATION_US_PER_KM))
-        self._arm_retry(co.name, frame, port=port)
-        self._schedule(arrival, ru_name, "FRAME_ARRIVAL",
-                       (co.name, frame, f_thz, power, port))
+        self._arm_retry(sender, frame, port)
+        self._schedule(arrival, Sim._deliver, receiver, sender, frame, f_thz, power, port)
 
-    def _arm_retry(self, sender: str, frame: MgmtFrame, port: int | None):
+    def _route(self, sender: RuEntity | CoEntity, port: int):
+        """(receiver, path) of a frame; raises link.LinkError if there is none.
+        An RU transmits toward its active side only (directional add)."""
+        if isinstance(sender, RuEntity):
+            path = self.topology.active_path(sender.name)
+            return self.cos[path.co], path
+        ru = self.rus[self.topology.ru_for_channel(port)]
+        return ru, self.topology.path_to_co(ru.name, sender.name)
+
+    def _check_send(self, sender: RuEntity | CoEntity, receiver, port: int,
+                    f_thz: float, power: float):
+        if isinstance(sender, RuEntity):
+            # the crosstalk rule governs reduced-power sweep transmissions; a
+            # locked RU re-announcing at full power on its own channel is
+            # normal operation
+            if sender.machine.state in (RuState.SWEEP, RuState.FINE_TUNE) and \
+                    power < sender.machine.full_power_dbm - 1e-9:
+                self._check_sweep_crosstalk(sender, f_thz, power)
+            if self.scenario.run.safety_checks:
+                self._check_upstream_isolation(sender, f_thz, power, receiver.name)
+        elif self.scenario.run.safety_checks:
+            self._check_downstream_isolation(sender, port, f_thz, power)
+
+    def _arm_retry(self, sender: RuEntity | CoEntity, frame: MgmtFrame, port: int):
         if frame.msg_type not in RELIABLE_TYPES:
             return
-        key = (sender, frame.msg_type, frame.seq)
-        state = self._pending_acks.get(key)
-        if state is None:
-            self._pending_acks[key] = {"frame": frame, "port": port, "retries": 0}
-        timeout = 4 * self._airtime_us(frame)
-        self._schedule(self.now_us + timeout, sender, "TIMER",
-                       f"rexmit:{frame.msg_type.value}:{frame.seq}")
+        key = (sender.name, frame.msg_type, frame.seq)
+        if key not in self._pending_acks:
+            self._pending_acks[key] = PendingAck(sender, frame, port)
+        self._schedule(self.now_us + 4 * self._airtime_us(frame), Sim._rexmit, key)
 
-    def _handle_rexmit(self, sender: str, tag: str):
-        _, type_value, seq = tag.split(":")
-        key = (sender, MsgType(int(type_value)), int(seq))
-        state = self._pending_acks.get(key)
-        if state is None:
+    def _rexmit(self, key: tuple[str, MsgType, int]):
+        pending = self._pending_acks.get(key)
+        if pending is None:
             return
-        if state["retries"] >= self.scenario.mgmt.retry_limit:
+        if pending.retries >= self.scenario.mgmt.retry_limit:
             del self._pending_acks[key]
-            self.trace.add(self.now_us, sender, "SEND_FAIL",
-                           f"type={key[1].name} seq={key[2]} retries={state['retries']}")
+            self.trace.add(self.now_us, key[0], "SEND_FAIL",
+                           f"type={key[1].name} seq={key[2]} retries={pending.retries}")
             return
-        state["retries"] += 1
+        pending.retries += 1
         self.metrics.retransmissions += 1
-        if sender in self.rus:
-            self._send_from_ru(self.rus[sender], state["frame"], wire_seq=key[2])
-        else:
-            self._send_from_co(self.cos[sender], state["frame"],
-                               state["port"], wire_seq=key[2])
+        self._send(pending.sender, pending.frame, pending.port, retry=key[2])
 
     # ---------------------------------------------------------------- arrival
 
-    def _deliver(self, receiver: str, payload):
-        sender, frame, f_thz, tx_power, port = payload
-        entity_label = f"{receiver}.p{port}" if receiver in self.cos else receiver
-        if receiver in self.rus and not self.rus[receiver].powered:
-            self._lost(entity_label, frame, "RX_OFF")
+    def _deliver(self, receiver: RuEntity | CoEntity, sender: RuEntity | CoEntity,
+                 frame: MgmtFrame, f_thz: float, tx_power: float, port: int):
+        upstream = isinstance(receiver, CoEntity)
+        label = f"{receiver.name}.p{port}" if upstream else receiver.name
+        if not upstream and not receiver.powered:
+            self._lost(label, frame, "RX_OFF")
             return
         # gain is evaluated at arrival: light in flight dies with a cut span
-        if receiver in self.cos:
-            ru_name, co_name = sender, receiver
-        else:
-            ru_name, co_name = receiver, sender
+        ru, co = (sender, receiver) if upstream else (receiver, sender)
         try:
-            gain = link.path_gain(self.topology, ru_name, co_name, f_thz,
+            gain = link.path_gain(self.topology, ru.name, co.name, f_thz,
                                   rx_port_channel=port)
         except NoPath:
-            self._lost(entity_label, frame, LOST_NO_PATH)
+            self._lost(label, frame, LOST_NO_PATH)
             return
         rx_power = tx_power + gain.gain_db
         if rx_power < self.mgmt.rx_sensitivity_dbm:
-            self._lost(entity_label, frame, LOST_BELOW_SENSITIVITY,
-                       f"rx={rx_power:.1f}dBm")
+            self._lost(label, frame, LOST_BELOW_SENSITIVITY, f"rx={rx_power:.1f}dBm")
             return
-        bits = codec.frame_pack(frame)
-        line_bits = codec.manchester_decode(codec.manchester_encode(bits))
-        rng = self.rus[receiver].rng_channel if receiver in self.rus \
-            else self.cos[receiver].rng_channel
-        noisy = codec.apply_bit_errors(line_bits, self.ber, rng)
+        noisy = codec.apply_bit_errors(codec.frame_pack(frame), self.ber,
+                                       receiver.rng_channel)
         try:
             decoded, stats = codec.frame_unpack(noisy)
-        except codec.SyncNotFound:
-            self._lost(entity_label, frame, "SYNC_NOT_FOUND")
-            return
-        except codec.FecFailure:
-            self._lost(entity_label, frame, "FEC_FAILURE")
-            return
-        except codec.CrcMismatch:
-            self._lost(entity_label, frame, "CRC_MISMATCH")
+        except (codec.SyncNotFound, codec.FecFailure, codec.CrcMismatch) as err:
+            self._lost(label, frame, DECODE_LOSS[type(err)])
             return
         self.metrics.frames_delivered += 1
         self.metrics.blocks_corrected += stats.corrected
-        self.trace.add(self.now_us, entity_label, "DELIVER",
+        self.trace.add(self.now_us, label, "DELIVER",
                        f"type={decoded.msg_type.name} seq={decoded.seq} "
                        f"rx={rx_power:.1f}dBm corrected={stats.corrected}")
 
         if decoded.msg_type is MsgType.ACK:
             acked_type = MsgType(decoded.payload[0] >> 4)
             acked_seq = decoded.payload[0] & 0x0F
-            self._pending_acks.pop((receiver, acked_type, acked_seq), None)
+            self._pending_acks.pop((receiver.name, acked_type, acked_seq), None)
             return
         if decoded.msg_type is MsgType.NAK:
             return
 
-        dedup_key = (receiver, sender, decoded.msg_type)
+        dedup_key = (receiver.name, sender.name, decoded.msg_type)
         duplicate = self._last_accepted.get(dedup_key) == decoded.seq
         if decoded.msg_type in RELIABLE_TYPES:
-            self._send_ack(receiver, decoded, port)
+            ack = bytes([(int(decoded.msg_type) << 4) | decoded.seq])
+            self._send(receiver, MgmtFrame(MsgType.ACK, payload=ack), port)
         if duplicate:
             return
         self._last_accepted[dedup_key] = decoded.seq
 
         event = MsgReceived(decoded, rx_power_dbm=rx_power, time_us=self.now_us,
-                            port=port if receiver in self.cos else None)
-        if receiver in self.rus:
-            self._run_ru(self.rus[receiver], event)
+                            port=port if upstream else None)
+        if upstream:
+            self._run_co(receiver, event)
         else:
-            self._run_co(self.cos[receiver], event)
-
-    def _send_ack(self, receiver: str, frame: MgmtFrame, port: int | None):
-        ack = MgmtFrame(MsgType.ACK,
-                        payload=bytes([(int(frame.msg_type) << 4) | frame.seq]))
-        if receiver in self.rus:
-            self._send_from_ru(self.rus[receiver], ack)
-        else:
-            self._send_from_co(self.cos[receiver], ack, port)
+            self._run_tuner(receiver, event)
 
     # ---------------------------------------------------------------- machines
 
-    def _run_ru(self, ru: RuEntity, event):
-        before = ru.machine.state
-        ru.machine, actions = ru_transition(ru.machine, event)
-        if ru.machine.state is not before:
-            self.trace.add(self.now_us, ru.name, "STATE",
-                           f"{before.value}->{ru.machine.state.value}")
-        self._apply_actions(ru.name, ru.laser, ru.name, ru, actions)
+    def _run_tuner(self, tuner: RuEntity | PrimaryTx, event):
+        """Drive an RU machine: an RU, or the transmitter half of a primary."""
+        before = tuner.machine.state
+        tuner.machine, actions = ru_transition(tuner.machine, event)
+        if tuner.machine.state is not before:
+            self.trace.add(self.now_us, tuner.name, "STATE",
+                           f"{before.value}->{tuner.machine.state.value}")
+        self._apply_tuner_actions(tuner, actions)
         # a LOCK is the completion of a tuning procedure; quiet HOLD->LOCKED
         # returns inside the deadband are not re-locks
-        if ru.machine.state is RuState.LOCKED and \
+        if tuner.machine.state is RuState.LOCKED and \
                 before in (RuState.FINE_TUNE, RuState.DIRECT_TUNING):
-            self._on_ru_locked(ru)
+            self._on_locked(tuner)
 
-    def _run_co(self, co: CoEntity, event, retry_sends: bool = False):
-        co.machine, actions = co_transition(co.machine, event)
-        self._apply_co_actions(co, actions, retry_sends)
-
-    def _apply_actions(self, name: str, laser, timer_target: str,
-                       sender: RuEntity | None, actions):
+    def _apply_tuner_actions(self, tuner: RuEntity | PrimaryTx, actions):
+        laser = tuner.laser
         for action in actions:
             if isinstance(action, SetKnobs):
                 if action.knobs is not None:
@@ -695,66 +682,61 @@ class Sim:
                 elif action.step_ghz is not None:
                     laser.apply_frequency_step(action.step_ghz)
                 state = laser.emission()
-                self.trace.add(self.now_us, name, "TUNE",
+                self.trace.add(self.now_us, tuner.name, "TUNE",
                                f"f={state.frequency_thz:.6f}THz")
             elif isinstance(action, SetPower):
                 laser.set_power(action.power_dbm)
-                self.trace.add(self.now_us, name, "POWER",
+                self.trace.add(self.now_us, tuner.name, "POWER",
                                f"p={action.power_dbm:.1f}dBm")
             elif isinstance(action, Send):
-                if sender is not None:
-                    self._send_from_ru(sender, action.frame)
+                # a primary's transmitter half never sends: its CO half talks
+                self._send(tuner, action.frame)
             elif isinstance(action, ArmTimer):
-                self._schedule(self.now_us + action.delay_us, timer_target,
-                               "TIMER", action.tag)
+                at = self.now_us + action.delay_us
+                self._schedule(at, Sim._run_tuner, tuner, TimerExpired(action.tag, time_us=at))
             elif isinstance(action, RaiseAlarm):
-                self.trace.add(self.now_us, name, "ALARM", action.reason)
+                self.trace.add(self.now_us, tuner.name, "ALARM", action.reason)
 
-    def _apply_co_actions(self, co: CoEntity, actions, retry_sends: bool = False):
+    def _on_locked(self, tuner: RuEntity | PrimaryTx):
+        state = tuner.laser.emission()
+        channel = tuner.machine.assigned_channel
+        off = (state.frequency_thz - self.plan.center_thz(channel)) * 1000.0
+        self.trace.add(self.now_us, tuner.name, "LOCK",
+                       f"ch={channel} f={state.frequency_thz:.6f}THz off={off:.1f}GHz")
+        if isinstance(tuner, PrimaryTx):
+            # primary transceiver tuned: hand its port to the CO half
+            self._assign_port(self.cos[tuner.co], *tuner.pending_assign)
+            return
+        if tuner.name not in self.metrics.time_to_lock_s:
+            self.metrics.time_to_lock_s[tuner.name] = (self.now_us - tuner.power_on_us) / 1e6
+        if tuner.pending_relock_since_us is not None:
+            delta = (self.now_us - tuner.pending_relock_since_us) / 1e6
+            self.metrics.protection_switch_s[tuner.name] = delta
+            tuner.pending_relock_since_us = None
+        if self.scenario.run.safety_checks and abs(off) > 1.0 + 1e-9:
+            raise SafetyViolation(
+                f"{tuner.name} locked {off:.2f} GHz from its port centre")
+
+    def _run_co(self, co: CoEntity, event):
+        co.machine, actions = co_transition(co.machine, event)
+        # a CO timer only ever resends an unanswered channel assignment
+        retry = NEW_SEQ if isinstance(event, TimerExpired) else None
         for action in actions:
             if isinstance(action, Send):
-                self._send_from_co(co, action.frame, action.port,
-                                   mark_retry=retry_sends)
+                self._send(co, action.frame, action.port, retry)
             elif isinstance(action, ArmTimer):
-                self._schedule(self.now_us + action.delay_us, co.name, "TIMER", action.tag)
+                at = self.now_us + action.delay_us
+                self._schedule(at, Sim._run_co, co, TimerExpired(action.tag, time_us=at))
             elif isinstance(action, RaiseAlarm):
                 self.trace.add(self.now_us, co.name, "ALARM", action.reason)
 
-    def _on_primary_locked(self, co: CoEntity):
-        # primary transceiver tuned: hand its port to the CO half
-        state = co.own_laser.emission()
-        center = self.plan.center_thz(co.own_machine.assigned_channel)
-        off = (state.frequency_thz - center) * 1000.0
-        self.trace.add(self.now_us, f"{co.name}.tx", "LOCK",
-                       f"ch={co.own_machine.assigned_channel} "
-                       f"f={state.frequency_thz:.6f}THz off={off:.1f}GHz")
-        if co.pending_assign is not None:
-            port, channel = co.pending_assign
-            co.pending_assign = None
-            self._run_co(co, NmsAssign(port, channel))
-            self._start_monitor(co, port)
-
-    def _on_ru_locked(self, ru: RuEntity):
-        state = ru.laser.emission()
-        center = self.plan.center_thz(ru.machine.assigned_channel)
-        off = (state.frequency_thz - center) * 1000.0
-        self.trace.add(self.now_us, ru.name, "LOCK",
-                       f"ch={ru.machine.assigned_channel} "
-                       f"f={state.frequency_thz:.6f}THz off={off:.1f}GHz")
-        if ru.name not in self.metrics.time_to_lock_s:
-            self.metrics.time_to_lock_s[ru.name] = (self.now_us - ru.power_on_us) / 1e6
-            ru.locked_at_us = self.now_us
-        if ru.pending_relock_since_us is not None:
-            delta = (self.now_us - ru.pending_relock_since_us) / 1e6
-            self.metrics.protection_switch_s[ru.name] = delta
-            ru.pending_relock_since_us = None
-        if self.scenario.run.safety_checks and abs(off) > 1.0 + 1e-9:
-            raise SafetyViolation(
-                f"{ru.name} locked {off:.2f} GHz from its port centre")
+    def _assign_port(self, co: CoEntity, port: int, channel: int):
+        self._run_co(co, NmsAssign(port, channel))
+        self._schedule(self.now_us + self._monitor_tick_us, Sim._monitor_tick, co, port)
 
     # ---------------------------------------------------------------- safety
 
-    def _check_sweep_crosstalk(self, sweeper: RuEntity, state):
+    def _check_sweep_crosstalk(self, sweeper: RuEntity, f_thz: float, power: float):
         margin_floor = self.scenario.run.crosstalk_min_margin_db
         for other in self.rus.values():
             if other.name == sweeper.name:
@@ -763,7 +745,7 @@ class Sim:
                 continue
             try:
                 margin = link.crosstalk_margin(
-                    self.topology, (sweeper.name, state.frequency_thz, state.power_dbm),
+                    self.topology, (sweeper.name, f_thz, power),
                     other.channel, victim_tx_power_dbm=other.laser.power_dbm)
             except NoPath:
                 continue
@@ -774,16 +756,17 @@ class Sim:
                     f"sweep of {sweeper.name} leaves only {margin:.1f} dB margin "
                     f"on channel {other.channel}")
 
-    def _check_upstream_isolation(self, ru: RuEntity, state, co_name: str):
+    def _check_upstream_isolation(self, ru: RuEntity, f_thz: float, power: float,
+                                  co_name: str):
         for other in self.rus.values():
             if other.name == ru.name:
                 continue
             try:
-                gain = link.path_gain(self.topology, ru.name, co_name,
-                                      state.frequency_thz, rx_port_channel=other.channel)
+                gain = link.path_gain(self.topology, ru.name, co_name, f_thz,
+                                      rx_port_channel=other.channel)
             except NoPath:
                 continue
-            if state.power_dbm + gain.gain_db >= self.mgmt.rx_sensitivity_dbm:
+            if power + gain.gain_db >= self.mgmt.rx_sensitivity_dbm:
                 raise SafetyViolation(
                     f"frames of {ru.name} decodable on foreign port {other.channel}")
 
@@ -801,13 +784,24 @@ class Sim:
                 raise SafetyViolation(
                     f"port {port} frames decodable at {other.name}")
 
-    # ---------------------------------------------------------------- ticks
+    # ---------------------------------------------------------------- events
 
-    def _start_monitor(self, co: CoEntity, port: int):
-        tick = int(self.scenario.run.monitor_tick_ms * 1000)
-        self._schedule(self.now_us + tick, co.name, "TIMER", f"monitor:{port}")
+    def _power_on(self, ru: RuEntity):
+        ru.power_on_us = self.now_us
+        ru.powered = True
+        self.trace.add(self.now_us, ru.name, "POWER_ON", "")
+        self._run_tuner(ru, PowerOn())
+        self._schedule(self.now_us + self._drift_tick_us, Sim._drift_tick, ru)
 
-    def _handle_monitor_tick(self, co: CoEntity, port: int):
+    def _nms_command(self, co: CoEntity, port: int, channel: int):
+        self.trace.add(self.now_us, co.name, "NMS", f"port={port} ch={channel}")
+        if co.tx is not None:
+            co.tx.pending_assign = (port, channel)
+            self._run_tuner(co.tx, PowerOn(nms_channel=channel))
+        else:
+            self._assign_port(co, port, channel)
+
+    def _monitor_tick(self, co: CoEntity, port: int):
         slot = co.machine.slot(port)
         if slot.state is CoPortState.IDLE:
             return
@@ -835,17 +829,16 @@ class Sim:
             offset_est = round(sample * 10.0) / 10.0
         if self.scenario.run.hold_enabled or slot.state is not CoPortState.MONITOR:
             self._run_co(co, PortPower(port, power, offset_est, time_us=self.now_us))
-        tick = int(self.scenario.run.monitor_tick_ms * 1000)
-        nxt = self.now_us + tick
+        nxt = self.now_us + self._monitor_tick_us
         if nxt <= self.horizon_us:
-            self._schedule(nxt, co.name, "TIMER", f"monitor:{port}")
+            self._schedule(nxt, Sim._monitor_tick, co, port)
 
-    def _handle_drift_tick(self, ru: RuEntity):
+    def _drift_tick(self, ru: RuEntity):
         dt = self.scenario.run.drift_tick_ms / 1000.0
         offset = lasers.step_drift(ru.laser, dt, self.drift, ru.rng_drift)
         if self.scenario.run.trace_drift:
             self.trace.add(self.now_us, ru.name, "DRIFT", f"off={offset:.3f}GHz")
-        self._run_ru(ru, DriftTick(time_us=self.now_us))
+        self._run_tuner(ru, DriftTick(time_us=self.now_us))
         if ru.machine.state in (RuState.LOCKED, RuState.HOLD):
             off = abs(ru.laser.emission().frequency_thz -
                       self.plan.center_thz(ru.channel)) * 1000.0
@@ -854,16 +847,16 @@ class Sim:
             if self.scenario.run.safety_checks and off > 7.5:
                 raise SafetyViolation(
                     f"{ru.name} drifted {off:.2f} GHz from its port while locked")
-        nxt = self.now_us + int(self.scenario.run.drift_tick_ms * 1000)
+        nxt = self.now_us + self._drift_tick_us
         if nxt <= self.horizon_us:
-            self._schedule(nxt, ru.name, "DRIFT_TICK")
+            self._schedule(nxt, Sim._drift_tick, ru)
 
-    # ---------------------------------------------------------------- faults
-
-    def _apply_plant_change(self, new_topology: Topology, kind: str, span: str):
+    def _plant_change(self, kind: str, span: str):
+        """Apply a ``cut`` or ``restore`` fault and re-route every RU."""
+        change = link.apply_cut if kind == "cut" else link.restore
         before = {name: self._active_co(name) for name in self.rus}
-        self.topology = new_topology
-        self.trace.add(self.now_us, "plant", kind, f"span={span}")
+        self.topology = change(self.topology, span)
+        self.trace.add(self.now_us, "plant", kind.upper(), f"span={span}")
         for name, ru in self.rus.items():
             after = self._active_co(name)
             if after != before[name]:
@@ -872,7 +865,7 @@ class Sim:
                 if ru.machine.state in (RuState.LOCKED, RuState.HOLD,
                                         RuState.FINE_TUNE):
                     ru.pending_relock_since_us = self.now_us
-                self._run_ru(ru, LinkDown())
+                self._run_tuner(ru, LinkDown())
 
     def _active_co(self, ru_name: str) -> str | None:
         try:
@@ -880,68 +873,9 @@ class Sim:
         except NoPath:
             return None
 
-    # ---------------------------------------------------------------- events
-
-    def _dispatch(self, target: str, kind: str, payload):
-        if kind == "POWER_ON":
-            ru = self.rus[target]
-            ru.power_on_us = self.now_us
-            ru.powered = True
-            self.trace.add(self.now_us, target, "POWER_ON", "")
-            self._run_ru(ru, PowerOn())
-            self._schedule(self.now_us + int(self.scenario.run.drift_tick_ms * 1000),
-                           target, "DRIFT_TICK")
-        elif kind == "NMS_COMMAND":
-            co = self.cos[target]
-            port, channel = payload
-            self.trace.add(self.now_us, target, "NMS", f"port={port} ch={channel}")
-            if co.own_machine is not None:
-                co.pending_assign = (port, channel)
-                self._run_primary(co, PowerOn(nms_channel=channel))
-            else:
-                self._run_co(co, NmsAssign(port, channel))
-                self._start_monitor(co, port)
-        elif kind == "FRAME_ARRIVAL":
-            self._deliver(target, payload)
-        elif kind == "TIMER":
-            tag = payload
-            if tag.startswith("rexmit:"):
-                self._handle_rexmit(target, tag)
-            elif tag.startswith("monitor:"):
-                self._handle_monitor_tick(self.cos[target], int(tag.split(":")[1]))
-            elif target.endswith("#tx"):
-                co = self.cos[target[:-3]]
-                self._run_primary(co, TimerExpired(tag, time_us=self.now_us))
-            elif target in self.rus:
-                self._run_ru(self.rus[target], TimerExpired(tag, time_us=self.now_us))
-            else:
-                self._run_co(self.cos[target], TimerExpired(tag, time_us=self.now_us),
-                             retry_sends=tag.startswith("assign:"))
-        elif kind == "DRIFT_TICK":
-            self._handle_drift_tick(self.rus[target])
-        elif kind == "FIBER_CUT":
-            self._apply_plant_change(link.apply_cut(self.topology, payload),
-                                     "CUT", payload)
-        elif kind == "FIBER_RESTORE":
-            self._apply_plant_change(link.restore(self.topology, payload),
-                                     "RESTORE", payload)
-        elif kind == "POWER_CHANGE":
-            self.ber = payload
-            self.trace.add(self.now_us, "plant", "BER", f"p={payload:g}")
-        else:  # pragma: no cover
-            raise EngineError(f"unknown event kind {kind}")
-
-    def _run_primary(self, co: CoEntity, event):
-        before = co.own_machine.state
-        co.own_machine, actions = ru_transition(co.own_machine, event)
-        name = f"{co.name}.tx"
-        if co.own_machine.state is not before:
-            self.trace.add(self.now_us, name, "STATE",
-                           f"{before.value}->{co.own_machine.state.value}")
-        # no sender entity: the primary transceiver talks through its CO half
-        self._apply_actions(name, co.own_laser, f"{co.name}#tx", None, actions)
-        if co.own_machine.state is RuState.LOCKED and before is not RuState.LOCKED:
-            self._on_primary_locked(co)
+    def _ber_change(self, ber: float):
+        self.ber = ber
+        self.trace.add(self.now_us, "plant", "BER", f"p={ber:g}")
 
     # ---------------------------------------------------------------- run
 
@@ -949,28 +883,25 @@ class Sim:
         rus_locked = all(r.machine.state in (RuState.LOCKED, RuState.HOLD)
                          for r in self.rus.values())
         primaries_locked = all(
-            c.own_machine.state is RuState.LOCKED
-            for c in self.cos.values() if c.own_machine is not None)
+            c.tx.machine.state is RuState.LOCKED
+            for c in self.cos.values() if c.tx is not None)
         return rus_locked and primaries_locked
 
     def run(self) -> tuple[Trace, Metrics]:
         stop_on_lock = self.scenario.run.stop == "all_locked"
-        while self._heap:
-            time_us, _, target, kind, payload = heapq.heappop(self._heap)
-            if time_us > self.horizon_us:
-                break
-            self.now_us = time_us
-            self._dispatch(target, kind, payload)
+        heap = self._heap
+        # peek before popping: an event past the horizon stays queued, and a
+        # frame in it is counted in flight
+        while heap and heap[0][0] <= self.horizon_us:
+            self.now_us, _, handler, args = heapq.heappop(heap)
+            handler(self, *args)
             if stop_on_lock and self._all_locked():
                 break
-        else:
-            if stop_on_lock and not self._all_locked():
-                raise DeadlockError("event queue drained before all RUs locked")
         if stop_on_lock and not self._all_locked():
-            raise DeadlockError("run horizon reached before all RUs locked")
+            raise DeadlockError("run horizon reached before all RUs locked" if heap
+                                else "event queue drained before all RUs locked")
         self.metrics.stop_time_s = self.now_us / 1e6
-        self.metrics.frames_in_flight = sum(
-            1 for ev in self._heap if ev[3] == "FRAME_ARRIVAL")
+        self.metrics.frames_in_flight = sum(1 for ev in heap if ev[2] is Sim._deliver)
         conservation = self.metrics.frames_delivered + self.metrics.frames_lost_total \
             + self.metrics.frames_in_flight
         if conservation != self.metrics.frames_sent:

@@ -47,9 +47,6 @@ class FrequencyPlan:
             raise ValueError(f"channel {channel} outside plan")
         return self.first_center_thz + channel * self.spacing_ghz / 1000.0
 
-    def centers_thz(self) -> list[float]:
-        return [self.center_thz(i) for i in range(self.channel_count)]
-
     def band_edges_thz(self) -> tuple[float, float]:
         half = self.spacing_ghz / 2000.0
         return self.first_center_thz - half, self.center_thz(self.channel_count - 1) + half
@@ -157,10 +154,6 @@ class Topology:
             if n.name == name:
                 return n
         raise LinkError(f"unknown node {name}")
-
-    def span_intact(self, name: str) -> bool:
-        self.span(name)
-        return name not in self.cut_spans
 
     def path_intact(self, path: CandidatePath) -> bool:
         return all(s not in self.cut_spans for s in path.span_names)

@@ -194,6 +194,26 @@ def test_frame_conservation():
         metrics.frames_lost_total + metrics.frames_in_flight
 
 
+def test_frame_arriving_past_the_horizon_counts_in_flight():
+    # the first event past this run's horizon is a frame arrival; it must be
+    # left queued and counted in flight, not dropped (conservation abort)
+    sc = Scenario(rus=(RuSpec("ru0", 0, laser="dbr", calibrated=True),),
+                  run=RunSpec(seed=5, horizon_ms=3_600_000.0, stop="time",
+                              drift_sigma_rw_ghz=1.5))
+    _, metrics = engine.run(sc)
+    assert metrics.frames_in_flight == 1
+    assert metrics.frames_sent == metrics.frames_delivered + \
+        metrics.frames_lost_total + metrics.frames_in_flight
+
+
+def test_ms_inputs_round_to_the_nearest_microsecond():
+    sc = Scenario(rus=(RuSpec("ru0", 0, calibrated=True, start_ms=1.001),),
+                  run=RunSpec(seed=7, horizon_ms=10.0, stop="time"))
+    trace, _ = engine.run(inject_fault(sc, 1001, "ber", ber=0.0))
+    times = {r.kind: r.time_us for r in trace.records if r.kind in ("POWER_ON", "BER")}
+    assert times == {"POWER_ON": 1001, "BER": 1001}
+
+
 def test_trace_emit_format():
     line = trace_emit(TraceRecord(12400000, "RU3", "LOCK",
                                   "ch=5 f=192.500000THz off=0.3GHz"))
