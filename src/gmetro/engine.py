@@ -17,13 +17,14 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import codec, lasers, link
 from .codec import MgmtChannelConfig, MgmtFrame, MsgType
 from .lasers import DriftModel, MemsVcselModel, ThermalDbrModel, VernierModel, calibrate
-from .link import FrequencyPlan, NoPath, Topology, UnknownSpan
+from .link import FrequencyPlan, NoPath, Topology
 from .protocol import (
     ArmTimer, CoMachine, CoPortState, DriftTick, LinkDown, MsgReceived,
     NmsAssign, PortPower, PowerOn, RaiseAlarm, Role, RuMachine, RuState,
@@ -36,6 +37,9 @@ PROPAGATION_US_PER_KM = 5.0
 RELIABLE_TYPES = frozenset({
     MsgType.SWEEP_DETECTED, MsgType.LOCK_CONFIRM, MsgType.LOSS_REPORT,
 })
+
+# states in which an RU counts as locked
+SETTLED = (RuState.LOCKED, RuState.HOLD)
 
 LOST_NO_PATH = "NO_PATH"
 LOST_BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
@@ -220,9 +224,8 @@ def validate(scenario: Scenario) -> Topology:
         if f.kind in ("cut", "restore"):
             if f.span is None:
                 raise ValidationError(f"{f.kind} fault needs a span")
-            try:
-                topo.span(f.span)
-            except UnknownSpan:
+            # a name check, not topo.span(): that would compile the plant here
+            if f.span not in {s.name for s in topo.spans}:
                 raise ValidationError(f"fault references unknown span {f.span!r}")
         elif f.kind == "ber":
             if f.ber is None or not 0.0 <= f.ber <= 1.0:
@@ -347,6 +350,8 @@ class RuEntity:
     pending_relock_since_us: int | None = None
     seq: int = 0
 
+    settled_states: ClassVar[tuple[RuState, ...]] = SETTLED
+
 
 @dataclass
 class PrimaryTx:
@@ -357,6 +362,8 @@ class PrimaryTx:
     machine: RuMachine
     laser: object
     pending_assign: tuple[int, int] | None = None
+
+    settled_states: ClassVar[tuple[RuState, ...]] = (RuState.LOCKED,)
 
 
 @dataclass
@@ -420,6 +427,11 @@ class Sim:
         self._seq = 0
         self._pending_acks: dict[tuple, PendingAck] = {}  # (sender, type, seq)
         self._last_accepted: dict = {}  # (receiver, sender, type) -> seq
+        # tuners (RUs and primary transmitters) in one of their settled
+        # states; _run_tuner keeps it, as the only place states change
+        self._settled = 0
+        self._tuner_count = len(scenario.rus) + \
+            sum(spec.role == "primary" for spec in scenario.cos)
 
         seed = scenario.run.seed
         sweep_plan = plan_sweep(self.plan, scenario.topo.filter_bandwidth_ghz,
@@ -549,18 +561,19 @@ class Sim:
             return
         self._check_send(sender, receiver, port, f_thz, power)
         arrival = self.now_us + self._airtime_us(frame) + \
-            int(round(path.length_km(self.topology) * PROPAGATION_US_PER_KM))
+            int(round(path.length_km * PROPAGATION_US_PER_KM))
         self._arm_retry(sender, frame, port)
         self._schedule(arrival, Sim._deliver, receiver, sender, frame, f_thz, power, port)
 
     def _route(self, sender: RuEntity | CoEntity, port: int):
-        """(receiver, path) of a frame; raises link.LinkError if there is none.
-        An RU transmits toward its active side only (directional add)."""
+        """(receiver, compiled path) of a frame; raises link.LinkError if there
+        is none.  An RU transmits toward its active side only (directional add)."""
+        plant = self.topology.plant
         if isinstance(sender, RuEntity):
-            path = self.topology.active_path(sender.name)
+            path = plant.active_path(sender.name)
             return self.cos[path.co], path
         ru = self.rus[self.topology.ru_for_channel(port)]
-        return ru, self.topology.path_to_co(ru.name, sender.name)
+        return ru, plant.path_to_co(ru.name, sender.name)
 
     def _check_send(self, sender: RuEntity | CoEntity, receiver, port: int,
                     f_thz: float, power: float):
@@ -661,14 +674,14 @@ class Sim:
         """Drive an RU machine: an RU, or the transmitter half of a primary."""
         before = tuner.machine.state
         tuner.machine, actions = ru_transition(tuner.machine, event)
-        if tuner.machine.state is not before:
-            self.trace.add(self.now_us, tuner.name, "STATE",
-                           f"{before.value}->{tuner.machine.state.value}")
+        after = tuner.machine.state
+        if after is not before:
+            self.trace.add(self.now_us, tuner.name, "STATE", f"{before.value}->{after.value}")
+            self._settled += (after in tuner.settled_states) - (before in tuner.settled_states)
         self._apply_tuner_actions(tuner, actions)
         # a LOCK is the completion of a tuning procedure; quiet HOLD->LOCKED
         # returns inside the deadband are not re-locks
-        if tuner.machine.state is RuState.LOCKED and \
-                before in (RuState.FINE_TUNE, RuState.DIRECT_TUNING):
+        if after is RuState.LOCKED and before in (RuState.FINE_TUNE, RuState.DIRECT_TUNING):
             self._on_locked(tuner)
 
     def _apply_tuner_actions(self, tuner: RuEntity | PrimaryTx, actions):
@@ -736,19 +749,37 @@ class Sim:
 
     # ---------------------------------------------------------------- safety
 
+    # Each check repeats path_gain's float operations in the same order, with
+    # everything that does not depend on the victim hoisted out of its loop:
+    # the sender's path loss up to the CO port filter, and for a downstream
+    # send that port's filter.  Results equal per-victim path_gain calls bit
+    # for bit.
+
     def _check_sweep_crosstalk(self, sweeper: RuEntity, f_thz: float, power: float):
         margin_floor = self.scenario.run.crosstalk_min_margin_db
-        for other in self.rus.values():
-            if other.name == sweeper.name:
-                continue
-            if other.machine.state not in (RuState.LOCKED, RuState.HOLD):
+        plant = self.topology.plant
+        # victim CO -> (sweeper loss up to the port filter, that CO's port
+        # attenuations at f_thz in RU order), or None when there is no path.
+        # self.rus and the topology both list the RUs in scenario order, so
+        # entry i of a bank is the port of the i-th RU.
+        leak: dict[str, tuple[float, list[float]] | None] = {}
+        for i, other in enumerate(self.rus.values()):
+            if other is sweeper or other.machine.state not in SETTLED:
                 continue
             try:
-                margin = link.crosstalk_margin(
-                    self.topology, (sweeper.name, f_thz, power),
-                    other.channel, victim_tx_power_dbm=other.laser.power_dbm)
+                victim_co, victim_gain = plant.carrier(other.name)
             except NoPath:
                 continue
+            if victim_co not in leak:
+                try:
+                    leak[victim_co] = (plant.path_to_co(sweeper.name, victim_co).loss_at(f_thz),
+                                       plant.bank(victim_co).attenuation_db(f_thz))
+                except NoPath:
+                    leak[victim_co] = None
+            if leak[victim_co] is None:
+                continue
+            base, port_att = leak[victim_co]
+            margin = (other.laser.power_dbm + victim_gain) - (power + -(base + port_att[i]))
             if margin < self.metrics.min_crosstalk_margin_db:
                 self.metrics.min_crosstalk_margin_db = margin
             if self.scenario.run.safety_checks and margin < margin_floor:
@@ -758,29 +789,34 @@ class Sim:
 
     def _check_upstream_isolation(self, ru: RuEntity, f_thz: float, power: float,
                                   co_name: str):
-        for other in self.rus.values():
-            if other.name == ru.name:
-                continue
-            try:
-                gain = link.path_gain(self.topology, ru.name, co_name, f_thz,
-                                      rx_port_channel=other.channel)
-            except NoPath:
-                continue
-            if power + gain.gain_db >= self.mgmt.rx_sensitivity_dbm:
+        plant = self.topology.plant
+        try:
+            base = plant.path_to_co(ru.name, co_name).loss_at(f_thz)
+        except NoPath:
+            return
+        sensitivity = self.mgmt.rx_sensitivity_dbm
+        # the bank lists ports in RU order, as self.rus does
+        for other, port_att in zip(self.rus.values(), plant.bank(co_name).attenuation_db(f_thz)):
+            if other is not ru and power + -(base + port_att) >= sensitivity:
                 raise SafetyViolation(
                     f"frames of {ru.name} decodable on foreign port {other.channel}")
 
     def _check_downstream_isolation(self, co: CoEntity, port: int, f_thz: float,
                                     power: float):
+        plant = self.topology.plant
+        port_filter = plant.port_filters.get((co.name, port))
+        port_att = None if port_filter is None else port_filter.attenuation_db(f_thz)
+        sensitivity = self.mgmt.rx_sensitivity_dbm
         for other in self.rus.values():
             if other.channel == port:
                 continue
             try:
-                gain = link.path_gain(self.topology, other.name, co.name, f_thz,
-                                      rx_port_channel=port)
+                loss = plant.path_to_co(other.name, co.name).loss_at(f_thz)
             except NoPath:
                 continue
-            if power + gain.gain_db >= self.mgmt.rx_sensitivity_dbm:
+            if port_att is not None:
+                loss += port_att
+            if power + -loss >= sensitivity:
                 raise SafetyViolation(
                     f"port {port} frames decodable at {other.name}")
 
@@ -839,7 +875,7 @@ class Sim:
         if self.scenario.run.trace_drift:
             self.trace.add(self.now_us, ru.name, "DRIFT", f"off={offset:.3f}GHz")
         self._run_tuner(ru, DriftTick(time_us=self.now_us))
-        if ru.machine.state in (RuState.LOCKED, RuState.HOLD):
+        if ru.machine.state in SETTLED:
             off = abs(ru.laser.emission().frequency_thz -
                       self.plan.center_thz(ru.channel)) * 1000.0
             if off > self.metrics.max_locked_offset_ghz:
@@ -880,12 +916,7 @@ class Sim:
     # ---------------------------------------------------------------- run
 
     def _all_locked(self) -> bool:
-        rus_locked = all(r.machine.state in (RuState.LOCKED, RuState.HOLD)
-                         for r in self.rus.values())
-        primaries_locked = all(
-            c.tx.machine.state is RuState.LOCKED
-            for c in self.cos.values() if c.tx is not None)
-        return rus_locked and primaries_locked
+        return self._settled == self._tuner_count
 
     def run(self) -> tuple[Trace, Metrics]:
         stop_on_lock = self.scenario.run.stop == "all_locked"

@@ -18,8 +18,6 @@ import numpy as np
 C_UM_THZ = 299.792458     # c in THz * um
 C_NM_GHZ = 299_792_458.0  # c in GHz * nm
 
-CALIBRATION_TOLERANCE_GHZ = 1.0
-
 
 class LaserError(Exception):
     pass
@@ -260,6 +258,7 @@ class VernierModel:
         if self.effective_range_ghz() < band_width_ghz:
             raise ValueError(f"effective range {self.effective_range_ghz():.0f} GHz does not "
                              f"cover the {band_width_ghz:.0f} GHz band")
+        self._coincidence_memo = (None, [])
 
     def effective_range_ghz(self) -> float:
         return self.fsr_front_ghz * self.fsr_back_ghz / abs(self.fsr_back_ghz - self.fsr_front_ghz)
@@ -284,6 +283,18 @@ class VernierModel:
         self.gain_current_ma = self.threshold_ma + 10.0 ** (power_dbm / 10.0) / self.slope_mw_per_ma
 
     def _coincidences(self):
+        """Comb alignments inside the band, memoised on every input of the
+        search.  The key is compared on each call, rather than cleared by the
+        setters, so a direct attribute write cannot leave it stale."""
+        key = (self.comb_offset_front_ghz, self.comb_offset_back_ghz, self.fsr_front_ghz,
+               self.fsr_back_ghz, self.comb_linewidth_ghz, self.band_thz)
+        memo_key, out = self._coincidence_memo
+        if key != memo_key:
+            out = self._search_coincidences()
+            self._coincidence_memo = (key, out)
+        return out
+
+    def _search_coincidences(self):
         lo = self.band_thz[0] * 1000.0
         hi = self.band_thz[1] * 1000.0
         f1, f2 = self.fsr_front_ghz, self.fsr_back_ghz

@@ -5,6 +5,15 @@ fiber cuts.
 Topologies are immutable; cuts/restores return modified copies.  Path
 choice is deterministic: a horseshoe RU uses its west side whenever that
 side is intact (revertive protection).
+
+Each Topology compiles its static part into a ``Plant`` on its first
+lookup or path query, never at construction, so building and validating a
+scenario costs no more than before.  The plant holds dict indexes of spans,
+nodes and channels, and folds each candidate path's span and express losses,
+its length, its remote filters and its intact flag.  The losses are summed
+in the order of the span-by-span formula, so every gain is equal to it bit
+for bit.  A cut or restore returns a new Topology, which compiles its own
+plant on first use.
 """
 
 from __future__ import annotations
@@ -113,8 +122,26 @@ class CandidatePath:
     filter_keys: tuple[tuple[str, int], ...]
     express_hops: int
 
-    def length_km(self, topo: "Topology") -> float:
-        return sum(topo.span(s).length_km for s in self.span_names)
+
+@dataclass(frozen=True)
+class CompiledPath:
+    """A candidate path with its frequency-independent part folded in once."""
+    candidate: CandidatePath
+    loss_db: float                      # span losses in route order, then express hops
+    length_km: float
+    filters: tuple[FilterModel, ...]    # the remote port filters, in route order
+    intact: bool
+
+    @property
+    def co(self) -> str:
+        return self.candidate.co
+
+    def loss_at(self, f_thz: float) -> float:
+        """Loss up to, not including, the CO port filter."""
+        loss = self.loss_db
+        for flt in self.filters:
+            loss += flt.attenuation_db(f_thz)
+        return loss
 
 
 @dataclass(frozen=True)
@@ -134,50 +161,148 @@ class Topology:
     co_names: tuple[str, ...]
     express_loss_db: float = 1.0
     cut_spans: frozenset[str] = field(default_factory=frozenset)
+    _plant: "Plant | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is TopologyKind.HORSESHOE:
+            drops = {s.name for s in self.spans if s.is_drop}
             for ru, candidates in self.routes.items():
-                ring = [frozenset(s for s in c.span_names if not self.span(s).is_drop)
-                        for c in candidates]
+                ring = [frozenset(c.span_names) - drops for c in candidates]
                 if len(ring) == 2 and ring[0] & ring[1]:
                     raise ValueError(f"horseshoe paths of {ru} share ring spans")
 
+    @property
+    def plant(self) -> "Plant":
+        """The compiled plant, built on first use."""
+        if self._plant is None:
+            object.__setattr__(self, "_plant", Plant(self))
+        return self._plant
+
     def span(self, name: str) -> Span:
-        for s in self.spans:
-            if s.name == name:
-                return s
-        raise UnknownSpan(name)
+        return self.plant.span(name)
 
     def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise LinkError(f"unknown node {name}")
-
-    def path_intact(self, path: CandidatePath) -> bool:
-        return all(s not in self.cut_spans for s in path.span_names)
+        try:
+            return self.plant.nodes[name]
+        except KeyError:
+            raise LinkError(f"unknown node {name}") from None
 
     def active_path(self, ru: str) -> CandidatePath:
         """Deterministic path choice; horseshoe prefers its west side."""
-        for candidate in self.routes[ru]:
-            if self.path_intact(candidate):
-                return candidate
-        raise NoPath(f"no intact path for {ru}")
+        return self.plant.active_path(ru).candidate
 
     def path_to_co(self, ru: str, co: str) -> CandidatePath:
-        for candidate in self.routes[ru]:
-            if candidate.co == co:
-                if not self.path_intact(candidate):
-                    raise NoPath(f"path {ru} <-> {co} interrupted")
-                return candidate
-        raise NoPath(f"no route between {ru} and {co}")
+        return self.plant.path_to_co(ru, co).candidate
 
     def ru_for_channel(self, channel: int) -> str:
-        for ru, ch in self.ru_channels.items():
-            if ch == channel:
-                return ru
-        raise LinkError(f"no RU on channel {channel}")
+        try:
+            return self.plant.ru_by_channel[channel]
+        except KeyError:
+            raise LinkError(f"no RU on channel {channel}") from None
+
+
+class Plant:
+    """The static part of one Topology: dict indexes and compiled paths.
+
+    It holds no reference to its Topology, so dropping a cut topology frees
+    its plant without waiting for the cycle collector."""
+
+    def __init__(self, topo: Topology):
+        self.spans = {s.name: s for s in topo.spans}
+        self.nodes = {n.name: n for n in topo.nodes}
+        self.ru_by_channel = {ch: ru for ru, ch in topo.ru_channels.items()}
+        self.ru_channels = topo.ru_channels
+        self.port_filters = topo.port_filters
+        self.paths = {ru: tuple(self._compile(topo, c) for c in candidates)
+                      for ru, candidates in topo.routes.items()}
+        self._carriers: dict[str, tuple[str, float]] = {}
+        self._banks: dict[str, FilterBank] = {}
+
+    def span(self, name: str) -> Span:
+        try:
+            return self.spans[name]
+        except KeyError:
+            raise UnknownSpan(name) from None
+
+    def _compile(self, topo: Topology, path: CandidatePath) -> CompiledPath:
+        spans = [self.span(s) for s in path.span_names]
+        loss = sum(s.loss_db for s in spans)
+        loss += path.express_hops * topo.express_loss_db
+        return CompiledPath(
+            candidate=path, loss_db=loss, length_km=sum(s.length_km for s in spans),
+            filters=tuple(topo.port_filters[key] for key in path.filter_keys),
+            intact=all(s not in topo.cut_spans for s in path.span_names))
+
+    def active_path(self, ru: str) -> CompiledPath:
+        for path in self.paths[ru]:
+            if path.intact:
+                return path
+        raise NoPath(f"no intact path for {ru}")
+
+    def path_to_co(self, ru: str, co: str) -> CompiledPath:
+        for path in self.paths[ru]:
+            if path.co == co:
+                if not path.intact:
+                    raise NoPath(f"path {ru} <-> {co} interrupted")
+                return path
+        raise NoPath(f"no route between {ru} and {co}")
+
+    def gain_db(self, path: CompiledPath, f_thz: float, port: int) -> float:
+        """Net gain along ``path`` into the CO's demux port ``port``."""
+        loss = path.loss_at(f_thz)
+        co_filter = self.port_filters.get((path.co, port))
+        if co_filter is not None:
+            loss += co_filter.attenuation_db(f_thz)
+        return -loss
+
+    def carrier(self, ru: str) -> tuple[str, float]:
+        """(CO, gain) of an RU's own signal on its active path, taken at the
+        centre of its CO port; raises NoPath.  Cached: both depend only on
+        the topology."""
+        hit = self._carriers.get(ru)
+        if hit is None:
+            co = self.active_path(ru).co
+            channel = self.ru_channels[ru]
+            f_thz = self.port_filters[(co, channel)].center_thz
+            hit = (co, self.gain_db(self.path_to_co(ru, co), f_thz, channel))
+            self._carriers[ru] = hit
+        return hit
+
+    def bank(self, co: str) -> "FilterBank":
+        """The demux ports of ``co`` on the RUs' channels, in RU order."""
+        bank = self._banks.get(co)
+        if bank is None:
+            bank = self._banks[co] = FilterBank(co, list(self.ru_channels.values()),
+                                                self.port_filters)
+        return bank
+
+
+class FilterBank:
+    """Filters evaluated together at one frequency.
+
+    Only the entries within their floor crossover distance, plus a margin
+    that float error cannot cross, are computed by
+    ``FilterModel.attenuation_db``; every other entry is exactly its floor,
+    which is what that call would return.  A missing filter (None)
+    attenuates 0 dB."""
+
+    def __init__(self, node: str, channels: list[int],
+                 port_filters: dict[tuple[str, int], FilterModel]):
+        self._entries = []      # (filter, centre, reach, floor)
+        for ch in channels:
+            f = port_filters.get((node, ch))
+            if f is None:
+                self._entries.append((None, math.inf, 0.0, 0.0))
+                continue
+            # attenuation_db reaches the floor at this distance from the centre
+            reach = f.bandwidth_3db_ghz / 2000.0 * \
+                (max(f.isolation_floor_db, 0.0) / DB_3) ** (1.0 / (2 * f.order))
+            self._entries.append((f, f.center_thz, reach * (1.0 + 1e-6) + 1e-9,
+                                  f.isolation_floor_db))
+
+    def attenuation_db(self, f_thz: float) -> list[float]:
+        return [flt.attenuation_db(f_thz) if abs(f_thz - centre) <= reach else floor
+                for flt, centre, reach, floor in self._entries]
 
 
 def path_gain(topo: Topology, frm: str, to: str, f_thz: float,
@@ -194,20 +319,11 @@ def path_gain(topo: Topology, frm: str, to: str, f_thz: float,
         raise NoPath("queries run between a CO and an RU")
     ru, other = (frm, to) if a.kind is NodeKind.RU else (to, frm)
 
-    if other in topo.co_names:
-        path = topo.path_to_co(ru, other)
-    else:
-        path = topo.active_path(ru)
-
+    plant = topo.plant
+    path = plant.path_to_co(ru, other) if other in topo.co_names else plant.active_path(ru)
     port = topo.ru_channels[ru] if rx_port_channel is None else rx_port_channel
-    loss = sum(topo.span(s).loss_db for s in path.span_names)
-    loss += path.express_hops * topo.express_loss_db
-    for key in path.filter_keys:
-        loss += topo.port_filters[key].attenuation_db(f_thz)
-    co_filter = topo.port_filters.get((path.co, port))
-    if co_filter is not None:
-        loss += co_filter.attenuation_db(f_thz)
-    return PathGainResult(gain_db=-loss, span_names=path.span_names)
+    return PathGainResult(gain_db=plant.gain_db(path, f_thz, port),
+                          span_names=path.candidate.span_names)
 
 
 def received_power(tx_power_dbm: float, gain: PathGainResult) -> float:
@@ -222,10 +338,8 @@ def crosstalk_margin(topo: Topology, sweeper: tuple[str, float, float],
     filter is what suppresses it at the shared receiver.  Larger is safer.
     """
     sweeper_node, f_thz, sweeper_power_dbm = sweeper
-    victim_ru = topo.ru_for_channel(victim_channel)
-    victim_co = topo.active_path(victim_ru).co
-    victim_f = topo.port_filters[(victim_co, victim_channel)].center_thz
-    victim_rx = victim_tx_power_dbm + path_gain(topo, victim_ru, victim_co, victim_f).gain_db
+    victim_co, victim_gain = topo.plant.carrier(topo.ru_for_channel(victim_channel))
+    victim_rx = victim_tx_power_dbm + victim_gain
     leak = sweeper_power_dbm + path_gain(
         topo, sweeper_node, victim_co, f_thz, rx_port_channel=victim_channel).gain_db
     return victim_rx - leak

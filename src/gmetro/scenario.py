@@ -126,10 +126,6 @@ _RUN = {
     "allow_unreachable": (_parse_bool, _any),
 }
 
-_SECTION_SCHEMAS = {
-    "plan": _PLAN, "topology": _TOPOLOGY, "mgmt": _MGMT, "run": _RUN,
-}
-
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError carrying every issue found."""

@@ -1,8 +1,11 @@
+import heapq
 import math
+import pathlib
+from dataclasses import replace
 
 import pytest
 
-from gmetro import codec, engine
+from gmetro import codec, engine, link
 from gmetro.engine import (
     CoSpec,
     DeadlockError,
@@ -21,6 +24,10 @@ from gmetro.engine import (
     validate,
 )
 from gmetro.link import FrequencyPlan
+from gmetro.protocol import RuState
+from gmetro.scenario import parse_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_ru_scenario(calibrated=True, ber=0.0, laser="mems", **run_kw):
@@ -375,3 +382,132 @@ def test_metrics_lines_and_json_share_keys():
     import json as _json
     blob = _json.loads(metrics.to_json())
     assert set(lines) == set(map(str, blob))
+
+
+def settled_by_scan(sim):
+    """The settled-tuner count as a scan of every machine."""
+    rus = sum(ru.machine.state in (RuState.LOCKED, RuState.HOLD) for ru in sim.rus.values())
+    primaries = sum(co.tx.machine.state is RuState.LOCKED
+                    for co in sim.cos.values() if co.tx is not None)
+    return rus + primaries
+
+
+@pytest.mark.parametrize("name", ["tree16_sweep", "pairwise", "horseshoe_protection"])
+def test_settled_count_matches_a_scan_after_every_event(name):
+    # runs the event loop of Sim.run by hand, to check between events;
+    # horseshoe_protection's cut and restore take RUs out of LOCKED again
+    sim = Sim(parse_scenario((SCENARIOS / f"{name}.gms").read_text()))
+    counts = set()
+    while sim._heap and sim._heap[0][0] <= sim.horizon_us:
+        sim.now_us, _, handler, args = heapq.heappop(sim._heap)
+        handler(sim, *args)
+        assert sim._settled == settled_by_scan(sim)
+        counts.add(sim._settled)
+        if sim.scenario.run.stop == "all_locked" and sim._all_locked():
+            break
+    assert sim._all_locked()
+    assert len(counts) > 1
+
+
+# --------------------------------------------------------------------------
+# safety checks against per-victim path_gain calls
+
+def reference_upstream(sim, ru, f_thz, power, co_name):
+    for other in sim.rus.values():
+        if other.name == ru.name:
+            continue
+        try:
+            gain = link.path_gain(sim.topology, ru.name, co_name, f_thz,
+                                  rx_port_channel=other.channel)
+        except link.NoPath:
+            continue
+        if power + gain.gain_db >= sim.mgmt.rx_sensitivity_dbm:
+            return f"frames of {ru.name} decodable on foreign port {other.channel}"
+    return None
+
+
+def reference_downstream(sim, co, port, f_thz, power):
+    for other in sim.rus.values():
+        if other.channel == port:
+            continue
+        try:
+            gain = link.path_gain(sim.topology, other.name, co.name, f_thz,
+                                  rx_port_channel=port)
+        except link.NoPath:
+            continue
+        if power + gain.gain_db >= sim.mgmt.rx_sensitivity_dbm:
+            return f"port {port} frames decodable at {other.name}"
+    return None
+
+
+def reference_crosstalk(sim, sweeper, f_thz, power):
+    """(min margin, first violation) from link.crosstalk_margin per victim."""
+    low, violation = math.inf, None
+    for other in sim.rus.values():
+        if other.name == sweeper.name or other.machine.state not in (RuState.LOCKED,
+                                                                      RuState.HOLD):
+            continue
+        try:
+            margin = link.crosstalk_margin(sim.topology, (sweeper.name, f_thz, power),
+                                           other.channel, other.laser.power_dbm)
+        except link.NoPath:
+            continue
+        low = min(low, margin)
+        if margin < sim.scenario.run.crosstalk_min_margin_db:
+            return low, (f"sweep of {sweeper.name} leaves only {margin:.1f} dB margin "
+                         f"on channel {other.channel}")
+    return low, None
+
+
+def violation(check, *args):
+    try:
+        check(*args)
+    except engine.SafetyViolation as err:
+        return str(err)
+    return None
+
+
+def leaky_sims():
+    """Plants whose weak demux filters let the checks fire: a tree, and a
+    horseshoe cut in the middle so that victims sit behind both COs."""
+    plan = FrequencyPlan(channel_count=8, spacing_ghz=50.0)
+    rus = tuple(RuSpec(f"ru{i}", ch) for i, ch in enumerate((0, 1, 3, 4, 6, 7)))
+    topo = dict(isolation_floor_db=12.0, filter_bandwidth_ghz=60.0, drop_km=1.0)
+    tree = Sim(Scenario(plan=plan, topo=TopoSpec(trunk_km=2.0, **topo), rus=rus))
+    horseshoe = Sim(Scenario(plan=plan, topo=TopoSpec(kind="horseshoe", segment_km=2.0, **topo),
+                             rus=rus, cos=(CoSpec("co_w"), CoSpec("co_e"))))
+    horseshoe.topology = link.apply_cut(horseshoe.topology, "s4")
+    for sim in (tree, horseshoe):
+        for ru in list(sim.rus.values())[1::2]:
+            ru.machine = replace(ru.machine, state=RuState.LOCKED)
+    return [pytest.param(tree, id="tree"), pytest.param(horseshoe, id="horseshoe")]
+
+
+@pytest.mark.parametrize("sim", leaky_sims())
+def test_hoisted_safety_checks_equal_per_victim_path_gain(sim):
+    lo, hi = sim.plan.band_edges_thz()
+    grid = [lo + (hi - lo) * k / 120 for k in range(121)]
+    grid += [sim.plan.center_thz(ch) + d for ch in range(sim.plan.channel_count)
+             for d in (-0.03, 0.0, 0.03)]
+    fired = set()
+    for f_thz in grid:
+        for power in (-30.0, -12.0, 0.0, 3.0):
+            for ru in sim.rus.values():
+                for co in sim.cos.values():
+                    want = reference_upstream(sim, ru, f_thz, power, co.name)
+                    assert violation(sim._check_upstream_isolation, ru, f_thz, power,
+                                     co.name) == want
+                    fired.add(("up", want is not None))
+                want_low, want = reference_crosstalk(sim, ru, f_thz, power)
+                sim.metrics.min_crosstalk_margin_db = math.inf
+                assert violation(sim._check_sweep_crosstalk, ru, f_thz, power) == want
+                assert sim.metrics.min_crosstalk_margin_db == want_low
+                fired.add(("xt", want is not None))
+            for co in sim.cos.values():
+                for port in range(sim.plan.channel_count):
+                    want = reference_downstream(sim, co, port, f_thz, power)
+                    assert violation(sim._check_downstream_isolation, co, port, f_thz,
+                                     power) == want
+                    fired.add(("down", want is not None))
+    # every check both passed and fired somewhere on the grid
+    assert fired == {(c, v) for c in ("up", "xt", "down") for v in (True, False)}

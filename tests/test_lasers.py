@@ -336,3 +336,17 @@ def test_drift_reproducible_per_seed():
     a = step_drift(MemsVcselModel(), 1.0, DriftModel(), np.random.default_rng(17))
     b = step_drift(MemsVcselModel(), 1.0, DriftModel(), np.random.default_rng(17))
     assert a == b
+
+
+def test_vernier_coincidences_follow_direct_attribute_writes():
+    laser = VernierModel()
+    laser.set_frequency(193.0)
+    before = laser.emission()
+    assert laser.emission() == before                   # served from the memo
+    laser.comb_offset_back_ghz = (laser.comb_offset_back_ghz + 4.0) % laser.fsr_back_ghz
+    moved = laser.emission()
+    fresh = VernierModel(comb_offset_front_ghz=laser.comb_offset_front_ghz,
+                         comb_offset_back_ghz=laser.comb_offset_back_ghz,
+                         phase_shift=laser.phase_shift)
+    assert moved == fresh.emission()
+    assert moved.frequency_thz != before.frequency_thz

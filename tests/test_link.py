@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmetro.link import (
+    DB_3,
     FilterModel,
     FrequencyPlan,
+    LinkError,
     NoPath,
     Span,
     TopologyKind,
@@ -258,3 +261,130 @@ def test_horseshoe_double_cut_isolates_ru():
 def test_duplicate_channel_assignment_rejected():
     with pytest.raises(ValueError):
         make_tree(PLAN, [("ru0", 3), ("ru1", 3)])
+
+
+# --------------------------------------------------------------------------
+# compiled plant against the scalar formula
+
+PLAN50 = FrequencyPlan(channel_count=8, spacing_ghz=50.0)
+RUS50 = [(f"ru{i}", ch) for i, ch in enumerate((0, 1, 3, 4, 6, 7))]
+
+
+def reference_gain(topo, ru, co, f_thz, port):
+    """path_gain written out from the topology's fields alone; None for no path."""
+    spans = {s.name: s for s in topo.spans}
+    path = next(c for c in topo.routes[ru] if c.co == co)
+    if any(s in topo.cut_spans for s in path.span_names):
+        return None
+    loss = sum(spans[s].loss_db for s in path.span_names)
+    loss += path.express_hops * topo.express_loss_db
+    for key in path.filter_keys:
+        loss += topo.port_filters[key].attenuation_db(f_thz)
+    co_filter = topo.port_filters.get((co, port))
+    if co_filter is not None:
+        loss += co_filter.attenuation_db(f_thz)
+    return -loss
+
+
+def frequency_grid(plan, bandwidth_ghz=50.0, floor_db=35.0):
+    """Band edges, every centre, the half-power points, and each side of
+    the floor crossover, plus an even grid across the band."""
+    lo, hi = plan.band_edges_thz()
+    crossover = bandwidth_ghz / 2000.0 * (floor_db / DB_3) ** 0.25
+    points = [lo, hi, *np.linspace(lo, hi, 151)]
+    for ch in range(plan.channel_count):
+        c = plan.center_thz(ch)
+        for d in (0.0, bandwidth_ghz / 2000.0, crossover):
+            for x in (c - d, c + d):
+                points += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    return [float(f) for f in points]
+
+
+def plant_variants():
+    """Each topology kind, plus a horseshoe with every ring span cut in turn
+    and then restored, and a tree with its trunk cut and restored."""
+    tree = make_tree(PLAN50, RUS50)
+    horseshoe = make_horseshoe(PLAN50, RUS50[:4])
+    out = [pytest.param(tree, id="tree"),
+           pytest.param(make_drop_line(PLAN50, RUS50), id="drop_line"),
+           pytest.param(horseshoe, id="horseshoe"),
+           pytest.param(apply_cut(tree, "trunk"), id="tree-trunk-cut"),
+           pytest.param(restore(apply_cut(tree, "trunk"), "trunk"), id="tree-trunk-restored")]
+    for span in horseshoe.spans:
+        if not span.is_drop:
+            cut = apply_cut(horseshoe, span.name)
+            out += [pytest.param(cut, id=f"horseshoe-{span.name}-cut"),
+                    pytest.param(restore(cut, span.name), id=f"horseshoe-{span.name}-restored")]
+    return out
+
+
+@pytest.mark.parametrize("topo", plant_variants())
+def test_compiled_plant_equals_scalar_formula(topo):
+    grid = frequency_grid(PLAN50)
+    plant = topo.plant
+    for ru in topo.ru_channels:
+        for co in topo.co_names:
+            route = next(c for c in topo.routes[ru] if c.co == co)
+            bank = plant.bank(co)
+            try:
+                compiled = plant.path_to_co(ru, co)
+            except NoPath:
+                compiled = None
+            spans = {s.name: s for s in topo.spans}
+            if compiled is not None:
+                assert compiled.length_km == sum(spans[s].length_km for s in route.span_names)
+            for f in grid:
+                port_att = bank.attenuation_db(f)
+                for i, port in enumerate(topo.ru_channels.values()):
+                    assert port_att[i] == topo.port_filters[(co, port)].attenuation_db(f)
+                for port in range(PLAN50.channel_count):
+                    want = reference_gain(topo, ru, co, f, port)
+                    if want is None:
+                        with pytest.raises(NoPath):
+                            path_gain(topo, ru, co, f, rx_port_channel=port)
+                        continue
+                    assert path_gain(topo, ru, co, f, rx_port_channel=port).gain_db == want
+                    assert path_gain(topo, co, ru, f, rx_port_channel=port).gain_db == want
+                    # the engine's hoisted form: sender loss once, port filter per victim
+                    assert -(compiled.loss_at(f) +
+                             topo.port_filters[(co, port)].attenuation_db(f)) == want
+
+
+def test_compiled_plant_follows_cut_and_restore():
+    topo = make_horseshoe(PLAN50, RUS50[:4])
+    assert topo.plant.active_path("ru0").co == "co_w"
+    cut = apply_cut(topo, "s1")
+    assert cut.plant is not topo.plant
+    assert cut.plant.active_path("ru0").co == "co_e"
+    assert topo.plant.active_path("ru0").co == "co_w"
+    assert restore(cut, "s1").plant.active_path("ru0").co == "co_w"
+
+
+def test_lookups_on_unknown_names_raise():
+    topo = make_tree(PLAN, [("ru0", 0)])
+    path_gain(topo, "ru0", "co0", 192.1)      # the plant is compiled now
+    with pytest.raises(UnknownSpan):
+        topo.span("nonexistent")
+    with pytest.raises(UnknownSpan):
+        restore(topo, "nonexistent")
+    with pytest.raises(LinkError):
+        topo.node("nonexistent")
+    with pytest.raises(LinkError):
+        path_gain(topo, "ghost", "co0", 192.1)
+    with pytest.raises(LinkError):
+        topo.ru_for_channel(5)
+
+
+def test_route_over_unknown_span_raises_on_path_query():
+    from gmetro.link import CandidatePath, Node, NodeKind, Topology
+    topo = Topology(
+        kind=TopologyKind.TREE,
+        nodes=(Node("co0", NodeKind.CO), Node("ru0", NodeKind.RU)),
+        spans=(Span("line", "co0", "ru0", 20.0),),
+        port_filters={},
+        ru_channels={"ru0": 0},
+        routes={"ru0": (CandidatePath("co0", ("line", "ghost"), (), 0),)},
+        co_names=("co0",),
+    )
+    with pytest.raises(UnknownSpan):
+        path_gain(topo, "ru0", "co0", 192.1)
