@@ -8,6 +8,14 @@ transition (a frame that fails the power gate is never packed).  Bit errors
 are drawn on decoded bits, so the Manchester line code, which is modelled in
 ``codec`` for the spectral mask, is not applied here.  Identical (scenario,
 seed) pairs produce byte-identical traces.
+
+Port monitoring is one heap entry per CO per tick, which samples the CO's
+ports in the order they were assigned.  A WAIT_DETECT port is sampled, so
+it draws from the measurement noise stream like any other, but its reading
+is not passed to the CO machine, which ignores raw power until a HELLO
+decodes.  A tuner's laser emission is cached and recomputed only after the
+engine changes that laser (knobs, power or drift), and each port's path
+gain is kept until the plant or the frequency changes.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import hashlib
 import heapq
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -23,7 +32,9 @@ import numpy as np
 
 from . import codec, lasers, link
 from .codec import MgmtChannelConfig, MgmtFrame, MsgType
-from .lasers import DriftModel, MemsVcselModel, ThermalDbrModel, VernierModel, calibrate
+from .lasers import (
+    DriftModel, EmissionState, MemsVcselModel, ThermalDbrModel, VernierModel, calibrate,
+)
 from .link import FrequencyPlan, NoPath, Topology
 from .protocol import (
     ArmTimer, CoMachine, CoPortState, DriftTick, LinkDown, MsgReceived,
@@ -40,6 +51,9 @@ RELIABLE_TYPES = frozenset({
 
 # states in which an RU counts as locked
 SETTLED = (RuState.LOCKED, RuState.HOLD)
+
+# standard normals drawn at a time for a CO's measurement noise
+MEAS_BATCH = 1024
 
 LOST_NO_PATH = "NO_PATH"
 LOST_BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
@@ -349,6 +363,7 @@ class RuEntity:
     powered: bool = False
     pending_relock_since_us: int | None = None
     seq: int = 0
+    emission: EmissionState | None = None       # see Sim._emission
 
     settled_states: ClassVar[tuple[RuState, ...]] = SETTLED
 
@@ -362,6 +377,7 @@ class PrimaryTx:
     machine: RuMachine
     laser: object
     pending_assign: tuple[int, int] | None = None
+    emission: EmissionState | None = None       # see Sim._emission
 
     settled_states: ClassVar[tuple[RuState, ...]] = (RuState.LOCKED,)
 
@@ -374,6 +390,13 @@ class CoEntity:
     rng_channel: np.random.Generator
     tx: PrimaryTx | None = None
     seq: int = 0
+    # monitored ports in assignment order; the CO's tick chain runs while
+    # this is non-empty, up to the horizon
+    ticking: list[int] = field(default_factory=list)
+    # port -> (plant, frequency, gain or None), see Sim._port_gain
+    gains: dict[int, tuple] = field(default_factory=dict)
+    # prefetched standard normals of rng_meas, see Sim._meas_normal
+    meas_z: Iterator[float] = field(default_factory=lambda: iter(()))
 
 
 @dataclass
@@ -542,14 +565,13 @@ class Sim:
         frame = MgmtFrame(frame.msg_type, seq, frame.payload)
         self.metrics.frames_sent += 1
         if isinstance(sender, RuEntity):
-            label, port, laser = sender.name, sender.channel, sender.laser
+            label, port, tuner = sender.name, sender.channel, sender
         else:
-            label = f"{sender.name}.p{port}"
-            laser = sender.tx.laser if sender.tx is not None else None
-        if laser is None:   # a managed CO's fixed-grid port transmitter
+            label, tuner = f"{sender.name}.p{port}", sender.tx
+        if tuner is None:   # a managed CO's fixed-grid port transmitter
             f_thz, power = self.plan.center_thz(port), self.scenario.mgmt.tx_power_dbm
         else:
-            state = laser.emission()
+            state = self._emission(tuner)
             f_thz, power = state.frequency_thz, state.power_dbm
         self.trace.add(self.now_us, label, "SEND" if retry is None else "RETRY",
                        f"type={frame.msg_type.name} seq={frame.seq} "
@@ -621,13 +643,13 @@ class Sim:
             return
         # gain is evaluated at arrival: light in flight dies with a cut span
         ru, co = (sender, receiver) if upstream else (receiver, sender)
+        plant = self.topology.plant
         try:
-            gain = link.path_gain(self.topology, ru.name, co.name, f_thz,
-                                  rx_port_channel=port)
+            gain = plant.gain_db(plant.path_to_co(ru.name, co.name), f_thz, port)
         except NoPath:
             self._lost(label, frame, LOST_NO_PATH)
             return
-        rx_power = tx_power + gain.gain_db
+        rx_power = tx_power + gain
         if rx_power < self.mgmt.rx_sensitivity_dbm:
             self._lost(label, frame, LOST_BELOW_SENSITIVITY, f"rx={rx_power:.1f}dBm")
             return
@@ -688,16 +710,18 @@ class Sim:
         laser = tuner.laser
         for action in actions:
             if isinstance(action, SetKnobs):
+                tuner.emission = None
                 if action.knobs is not None:
                     laser.set_knobs(action.knobs)
                 elif action.frequency_thz is not None:
                     laser.set_frequency(action.frequency_thz)
                 elif action.step_ghz is not None:
                     laser.apply_frequency_step(action.step_ghz)
-                state = laser.emission()
+                state = self._emission(tuner)
                 self.trace.add(self.now_us, tuner.name, "TUNE",
                                f"f={state.frequency_thz:.6f}THz")
             elif isinstance(action, SetPower):
+                tuner.emission = None
                 laser.set_power(action.power_dbm)
                 self.trace.add(self.now_us, tuner.name, "POWER",
                                f"p={action.power_dbm:.1f}dBm")
@@ -711,7 +735,7 @@ class Sim:
                 self.trace.add(self.now_us, tuner.name, "ALARM", action.reason)
 
     def _on_locked(self, tuner: RuEntity | PrimaryTx):
-        state = tuner.laser.emission()
+        state = self._emission(tuner)
         channel = tuner.machine.assigned_channel
         off = (state.frequency_thz - self.plan.center_thz(channel)) * 1000.0
         self.trace.add(self.now_us, tuner.name, "LOCK",
@@ -745,7 +769,20 @@ class Sim:
 
     def _assign_port(self, co: CoEntity, port: int, channel: int):
         self._run_co(co, NmsAssign(port, channel))
-        self._schedule(self.now_us + self._monitor_tick_us, Sim._monitor_tick, co, port)
+        # A managed CO's ports are all assigned at the NMS time and a primary
+        # has one port, so a port never joins a running chain at another phase.
+        if not co.ticking:
+            self._schedule(self.now_us + self._monitor_tick_us, Sim._monitor_tick, co)
+        co.ticking.append(port)
+
+    @staticmethod
+    def _emission(tuner: RuEntity | PrimaryTx) -> EmissionState:
+        """The tuner's laser emission.  Cached on the tuner: every engine
+        change to the laser (SetKnobs, SetPower, drift) clears the cache."""
+        state = tuner.emission
+        if state is None:
+            state = tuner.emission = tuner.laser.emission()
+        return state
 
     # ---------------------------------------------------------------- safety
 
@@ -837,46 +874,76 @@ class Sim:
         else:
             self._assign_port(co, port, channel)
 
-    def _monitor_tick(self, co: CoEntity, port: int):
-        slot = co.machine.slot(port)
-        if slot.state is CoPortState.IDLE:
-            return
-        try:
-            ru = self.rus[self.topology.ru_for_channel(port)]
-        except link.LinkError:
-            return
-        state = ru.laser.emission()
-        try:
-            # the RU transmits toward its active side only (directional add)
-            if self.topology.active_path(ru.name).co != co.name:
-                raise NoPath(co.name)
-            gain = link.path_gain(self.topology, ru.name, co.name,
-                                  state.frequency_thz, rx_port_channel=port)
-            power = state.power_dbm + gain.gain_db
-        except NoPath:
-            power = -math.inf
-        noise = self.scenario.run.measurement_noise_ghz
-        if slot.state is CoPortState.CONFIRMING:
-            noise /= 4.0  # confirmation integrates 16x longer than a hold tick
-        offset_est = None
-        if power >= self.mgmt.rx_sensitivity_dbm:
-            true_off = (state.frequency_thz - self.plan.center_thz(port)) * 1000.0
-            sample = true_off + (co.rng_meas.normal(0.0, noise) if noise > 0 else 0.0)
-            offset_est = round(sample * 10.0) / 10.0
-        if self.scenario.run.hold_enabled or slot.state is not CoPortState.MONITOR:
-            self._run_co(co, PortPower(port, power, offset_est, time_us=self.now_us))
+    def _monitor_tick(self, co: CoEntity):
+        """Sample each of the CO's ticking ports, in assignment order.  A port
+        leaves the chain once its slot is IDLE or no RU sits on its channel."""
+        run = self.scenario.run
+        ru_by_channel = self.topology.plant.ru_by_channel
+        ticking = []
+        for port in co.ticking:
+            slot = co.machine.slot(port)
+            ru_name = ru_by_channel.get(port)
+            if slot.state is CoPortState.IDLE or ru_name is None:
+                continue
+            ticking.append(port)
+            state = self._emission(self.rus[ru_name])
+            gain = self._port_gain(co, port, ru_name, state.frequency_thz)
+            power = -math.inf if gain is None else state.power_dbm + gain
+            noise = run.measurement_noise_ghz
+            if slot.state is CoPortState.CONFIRMING:
+                noise /= 4.0  # confirmation integrates 16x longer than a hold tick
+            offset_est = None
+            if power >= self.mgmt.rx_sensitivity_dbm:
+                true_off = (state.frequency_thz - self.plan.center_thz(port)) * 1000.0
+                sample = true_off + (noise * self._meas_normal(co) if noise > 0 else 0.0)
+                offset_est = round(sample * 10.0) / 10.0
+            # co_transition ignores the power of a WAIT_DETECT port: it waits
+            # for a decoded HELLO
+            if slot.state is not CoPortState.WAIT_DETECT and \
+                    (run.hold_enabled or slot.state is not CoPortState.MONITOR):
+                self._run_co(co, PortPower(port, power, offset_est, time_us=self.now_us))
+        co.ticking = ticking
         nxt = self.now_us + self._monitor_tick_us
-        if nxt <= self.horizon_us:
-            self._schedule(nxt, Sim._monitor_tick, co, port)
+        if ticking and nxt <= self.horizon_us:
+            self._schedule(nxt, Sim._monitor_tick, co)
+
+    def _port_gain(self, co: CoEntity, port: int, ru_name: str,
+                   f_thz: float) -> float | None:
+        """Gain from the RU on ``port`` into that port of ``co``; None when the
+        RU transmits toward no CO or the other one (directional add).  Kept
+        per port until the plant or the frequency changes."""
+        plant = self.topology.plant
+        memo = co.gains.get(port)
+        if memo is not None and memo[0] is plant and memo[1] == f_thz:
+            return memo[2]
+        try:
+            path = plant.active_path(ru_name)
+            gain = plant.gain_db(path, f_thz, port) if path.co == co.name else None
+        except NoPath:
+            gain = None
+        co.gains[port] = (plant, f_thz, gain)
+        return gain
+
+    @staticmethod
+    def _meas_normal(co: CoEntity) -> float:
+        """The next standard normal of the CO's measurement stream.  Drawn in
+        batches: ``noise * z`` equals ``rng_meas.normal(0.0, noise)`` bit for
+        bit, and rng_meas feeds nothing else."""
+        z = next(co.meas_z, None)
+        if z is None:
+            co.meas_z = iter(co.rng_meas.standard_normal(MEAS_BATCH).tolist())
+            z = next(co.meas_z)
+        return z
 
     def _drift_tick(self, ru: RuEntity):
         dt = self.scenario.run.drift_tick_ms / 1000.0
         offset = lasers.step_drift(ru.laser, dt, self.drift, ru.rng_drift)
+        ru.emission = None
         if self.scenario.run.trace_drift:
             self.trace.add(self.now_us, ru.name, "DRIFT", f"off={offset:.3f}GHz")
         self._run_tuner(ru, DriftTick(time_us=self.now_us))
         if ru.machine.state in SETTLED:
-            off = abs(ru.laser.emission().frequency_thz -
+            off = abs(self._emission(ru).frequency_thz -
                       self.plan.center_thz(ru.channel)) * 1000.0
             if off > self.metrics.max_locked_offset_ghz:
                 self.metrics.max_locked_offset_ghz = off

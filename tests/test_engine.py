@@ -24,7 +24,7 @@ from gmetro.engine import (
     validate,
 )
 from gmetro.link import FrequencyPlan
-from gmetro.protocol import RuState
+from gmetro.protocol import CoPortState, PortPower, PortSlot, RuState, co_transition
 from gmetro.scenario import parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -392,21 +392,189 @@ def settled_by_scan(sim):
     return rus + primaries
 
 
-@pytest.mark.parametrize("name", ["tree16_sweep", "pairwise", "horseshoe_protection"])
-def test_settled_count_matches_a_scan_after_every_event(name):
-    # runs the event loop of Sim.run by hand, to check between events;
-    # horseshoe_protection's cut and restore take RUs out of LOCKED again
-    sim = Sim(parse_scenario((SCENARIOS / f"{name}.gms").read_text()))
-    counts = set()
+def events_by_hand(sim):
+    """The event loop of Sim.run, run by hand so that a test can check the
+    Sim between events; yields (handler, args) after running each event."""
     while sim._heap and sim._heap[0][0] <= sim.horizon_us:
         sim.now_us, _, handler, args = heapq.heappop(sim._heap)
         handler(sim, *args)
-        assert sim._settled == settled_by_scan(sim)
-        counts.add(sim._settled)
+        yield handler, args
         if sim.scenario.run.stop == "all_locked" and sim._all_locked():
             break
+
+
+HAND_RUN = ["tree16_sweep", "pairwise", "horseshoe_protection"]
+
+
+def shipped_sim(name):
+    return Sim(parse_scenario((SCENARIOS / f"{name}.gms").read_text()))
+
+
+@pytest.mark.parametrize("name", HAND_RUN)
+def test_settled_count_matches_a_scan_after_every_event(name):
+    # horseshoe_protection's cut and restore take RUs out of LOCKED again
+    sim = shipped_sim(name)
+    counts = set()
+    for _ in events_by_hand(sim):
+        assert sim._settled == settled_by_scan(sim)
+        counts.add(sim._settled)
     assert sim._all_locked()
     assert len(counts) > 1
+
+
+# --------------------------------------------------------------------------
+# monitor ticks and their caches
+
+def tuners(sim):
+    return list(sim.rus.values()) + [co.tx for co in sim.cos.values() if co.tx is not None]
+
+
+def gain_by_path_gain(sim, co, port):
+    """What a port's gain memo must hold on the current topology."""
+    ru = sim.topology.ru_for_channel(port)
+    try:
+        if sim.topology.active_path(ru).co != co.name:
+            return None
+    except link.NoPath:
+        return None
+    f_thz = co.gains[port][1]
+    return link.path_gain(sim.topology, ru, co.name, f_thz, rx_port_channel=port).gain_db
+
+
+@pytest.mark.parametrize("name", HAND_RUN)
+def test_emission_and_gain_caches_match_the_models_after_every_event(name):
+    sim = shipped_sim(name)
+    cached, plants = 0, []
+    for handler, args in events_by_hand(sim):
+        for tuner in tuners(sim):
+            if tuner.emission is not None:
+                assert tuner.emission == tuner.laser.emission()
+                cached += 1
+        if handler is Sim._monitor_tick:
+            # the CO that ticked read each port's gain on the current plant
+            # at the frequency its RU emits now
+            co = args[0]
+            for port in co.ticking:
+                ru = sim.rus[sim.topology.ru_for_channel(port)]
+                plant, f_thz, _ = co.gains[port]
+                assert plant is sim.topology.plant
+                assert f_thz == ru.laser.emission().frequency_thz
+        for co in sim.cos.values():
+            for port, (plant, _, gain) in co.gains.items():
+                # a memo from an earlier plant is recomputed on its next use
+                if plant is sim.topology.plant:
+                    assert gain == gain_by_path_gain(sim, co, port)
+                    if not any(plant is p for p in plants):
+                        plants.append(plant)
+    assert cached > 0
+    # the horseshoe's memos are checked on its plant before the cut, while
+    # it is cut and after the restore
+    assert len(plants) == (3 if name == "horseshoe_protection" else 1)
+
+
+def test_gain_memo_follows_a_cut_and_restore_at_one_frequency():
+    # drift normally moves the frequency at a cut as well; here only the plant changes
+    sim = Sim(horseshoe_scenario())
+    plan = sim.plan
+    seen = []
+    for change in (None, link.apply_cut, link.restore):
+        if change is not None:
+            sim.topology = change(sim.topology, "s1")
+        gains = []
+        for co in sim.cos.values():
+            for ru in sim.rus.values():
+                gain = sim._port_gain(co, ru.channel, ru.name, plan.center_thz(ru.channel))
+                assert gain == gain_by_path_gain(sim, co, ru.channel)
+                gains.append(gain)
+        seen.append(gains)
+    before, cut, restored = seen
+    assert before == restored and cut != before
+    assert sum(g is None for g in cut) == sum(g is None for g in before) == 4
+
+
+def test_batched_standard_normals_equal_scaled_normal_draws():
+    # the monitor noise relies on this identity of the installed numpy
+    scales = [0.5, 0.125, 1e-3]
+    one_at_a_time = engine.entity_rng(5, "co0", "meas")
+    batched = engine.entity_rng(5, "co0", "meas")
+    want = [one_at_a_time.normal(0.0, scales[i % 3]) for i in range(3000)]
+    z = batched.standard_normal(3000).tolist()
+    assert [scales[i % 3] * z[i] for i in range(3000)] == want
+    # and across the engine's batch boundaries
+    co = Sim(single_ru_scenario()).cos["co0"]
+    reference = engine.entity_rng(7, "co0", "meas")
+    n = engine.MEAS_BATCH * 2 + 100
+    assert [scales[i % 3] * Sim._meas_normal(co) for i in range(n)] == \
+        [reference.normal(0.0, scales[i % 3]) for i in range(n)]
+
+
+def monitor_entries(sim):
+    return [entry for entry in sim._heap if entry[2] is Sim._monitor_tick]
+
+
+def test_one_monitor_tick_entry_per_co():
+    sim = shipped_sim("horseshoe_protection")
+    ticks = 0
+    for handler, _ in events_by_hand(sim):
+        cos = [entry[3][0].name for entry in monitor_entries(sim)]
+        assert len(cos) == len(set(cos))
+        ticks += handler is Sim._monitor_tick
+    # one tick per CO every 100 ms for 25 s
+    assert ticks == 2 * 250
+    assert [co.ticking for co in sim.cos.values()] == [[0, 1, 2, 3]] * 2
+
+
+def test_wait_detect_ports_are_sampled_but_not_passed_to_the_machine(monkeypatch):
+    # on a horseshoe each port of the CO an RU does not face stays in WAIT_DETECT
+    sim = shipped_sim("horseshoe_protection")
+    sampled, passed = set(), set()
+    port_gain = sim._port_gain
+
+    def sample(co, port, *args):
+        sampled.add(co.machine.slot(port).state)
+        return port_gain(co, port, *args)
+
+    def transition(m, event):
+        if isinstance(event, PortPower):
+            passed.add(m.slot(event.port).state)
+        return co_transition(m, event)
+
+    sim._port_gain = sample
+    monkeypatch.setattr(engine, "co_transition", transition)
+    sim.run()
+    assert CoPortState.WAIT_DETECT in sampled
+    assert passed == {CoPortState.CONFIRMING, CoPortState.MONITOR}
+
+
+def test_idle_port_and_port_without_ru_stop_being_sampled():
+    sim = Sim(Scenario(rus=(RuSpec("ru0", 0, calibrated=True), RuSpec("ru1", 1, calibrated=True)),
+                       run=RunSpec(seed=7, horizon_ms=3_000.0, stop="time")))
+    co = sim.cos["co0"]
+    sampled = []
+    port_gain = sim._port_gain
+    sim._port_gain = lambda co, port, *args: sampled.append(port) or port_gain(co, port, *args)
+
+    def tick():
+        sampled.clear()
+        for handler, _ in events_by_hand(sim):
+            if handler is Sim._monitor_tick:
+                return list(sampled)
+
+    assert tick() == [0, 1]
+    sim._assign_port(co, 5, 5)          # no RU sits on channel 5
+    assert len(monitor_entries(sim)) == 1
+    assert co.ticking == [0, 1, 5]
+    assert tick() == [0, 1]
+    assert co.ticking == [0, 1]
+    co.machine = replace(co.machine, ports={**co.machine.ports, 1: PortSlot()})
+    assert tick() == [0]
+    co.machine = replace(co.machine, ports={**co.machine.ports, 0: PortSlot()})
+    assert tick() == []
+    assert co.ticking == [] and monitor_entries(sim) == []
+    # a new assignment starts the chain again
+    sim._assign_port(co, 1, 1)
+    assert len(monitor_entries(sim)) == 1
+    assert tick() == [1]
 
 
 # --------------------------------------------------------------------------
