@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmetro import codec
+from gmetro.cli import main as cli_main
 from gmetro.codec import (
     CodingViolation,
     CrcMismatch,
@@ -168,6 +169,171 @@ def test_frame_unpack_scans_past_leading_noise():
     bits = np.concatenate([np.zeros(5, dtype=np.uint8), frame_pack(frame)])
     out, _ = frame_unpack(bits)
     assert out == frame
+
+
+def test_frame_format_worked_examples():
+    # the two examples published in docs/frame_format.md
+    assert bits_to_hex(frame_pack(MgmtFrame(MsgType.HELLO, 0))) == "61:2b7e000000000000"
+    assert bits_to_hex(frame_pack(MgmtFrame(MsgType.TUNE_REQ, 3, b"\x05"))) == \
+        "61:2b7e130010591140"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("61:2b7e000000000000", "type=HELLO seq=0 payload=- blocks=3 corrected=0"),
+    ("61:2b7e130010591140", "type=TUNE_REQ seq=3 payload=05 blocks=3 corrected=0"),
+])
+def test_cli_decodes_worked_examples(capsys, text, expected):
+    assert cli_main(["codec", "decode", text]) == 0
+    assert capsys.readouterr().out.strip() == expected
+
+
+# --------------------------------------------------------------------------
+# reference framing: the bit-vector implementation the wire format was first
+# written in, kept here so the packed bits and every unpack outcome of the
+# module can be compared against it
+
+_REF_COLUMN_SYNDROMES = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 1, 2, 4, 8)
+_REF_GENERATOR = generator_matrix_oracle()
+
+
+def _ref_bits(value, width):
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+
+
+def _ref_int(bits):
+    out = 0
+    for b in np.asarray(bits, dtype=np.uint8):
+        out = (out << 1) | int(b)
+    return out
+
+
+def _ref_crc8(data):
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
+
+
+def _ref_syndrome(word):
+    s = 0
+    for i in range(15):
+        if word >> (14 - i) & 1:
+            s ^= _REF_COLUMN_SYNDROMES[i]
+    return s
+
+
+def _ref_decode(word):
+    s = _ref_syndrome(word)
+    if s == 0:
+        return word >> 4, FecStatus.OK
+    word ^= 1 << (14 - _REF_COLUMN_SYNDROMES.index(s))
+    return word >> 4, FecStatus.CORRECTED
+
+
+def _ref_frame_pack(frame):
+    header = bytes([(int(frame.msg_type) << 4) | frame.seq, len(frame.payload)]) + frame.payload
+    body = np.concatenate([_ref_bits(b, 8) for b in header + bytes([_ref_crc8(header)])])
+    body = np.concatenate([body, np.zeros((-len(body)) % 11, dtype=np.uint8)])
+    blocks = [(body[i:i + 11] @ _REF_GENERATOR) % 2 for i in range(0, len(body), 11)]
+    return np.concatenate([_ref_bits(codec.SYNC_WORD, 16)] + blocks).astype(np.uint8)
+
+
+def _ref_frame_unpack(bits):
+    bits = np.asarray(bits, dtype=np.uint8)
+    sync = _ref_bits(codec.SYNC_WORD, 16)
+    for i in range(len(bits) - 15):
+        if np.array_equal(bits[i:i + 16], sync):
+            coded = bits[i + 16:]
+            break
+    else:
+        raise SyncNotFound("no 16-bit SYNC pattern in stream")
+    avail = len(coded) // 15
+
+    def decode_block(i):
+        return _ref_decode(_ref_int(coded[i * 15:(i + 1) * 15]))
+
+    if avail < 2:
+        raise CrcMismatch("frame truncated before length field")
+    decoded = [decode_block(0), decode_block(1)]
+    length = (((decoded[0][0] << 11) | decoded[1][0]) >> 6) & 0xFF
+    n_blocks = -(-(24 + 8 * length) // 11)
+    if length > 16 or n_blocks > avail:
+        raise CrcMismatch(f"decoded length field {length} invalid")
+    decoded += [decode_block(i) for i in range(2, n_blocks)]
+    corrected = sum(1 for _, st_ in decoded if st_ is FecStatus.CORRECTED)
+    stats = codec.FecStats(blocks=n_blocks, corrected=corrected, uncorrectable=0)
+    body = 0
+    for data, _ in decoded:
+        body = (body << 11) | data
+    body_bits = n_blocks * 11
+    total = 24 + 8 * length
+
+    def field(offset, width):
+        return (body >> (body_bits - offset - width)) & ((1 << width) - 1)
+
+    msg_type, seq = field(0, 4), field(4, 4)
+    payload = bytes(field(16 + 8 * i, 8) for i in range(length))
+    if _ref_crc8(bytes([(msg_type << 4) | seq, length]) + payload) != field(total - 8, 8):
+        raise CrcMismatch(stats=stats)
+    if msg_type > 9:
+        raise CrcMismatch(f"decoded type {msg_type} invalid", stats=stats)
+    return MgmtFrame(MsgType(msg_type), seq, payload), stats
+
+
+def _outcome(unpack, bits):
+    """A decoded (frame, stats), or the raised error's type, message and stats."""
+    try:
+        return unpack(bits)
+    except codec.CodecError as err:
+        return type(err), str(err), getattr(err, "stats", None)
+
+
+frames = st.builds(MgmtFrame, st.sampled_from(list(MsgType)), st.integers(0, 15),
+                   st.binary(min_size=0, max_size=16))
+
+
+def test_frame_pack_matches_reference_for_every_type_seq_and_length():
+    rng = np.random.default_rng(23)
+    for msg_type in MsgType:
+        for seq in range(16):
+            for length in range(17):
+                frame = MgmtFrame(msg_type, seq, rng.bytes(length))
+                bits = frame_pack(frame)
+                assert bits.dtype == np.uint8
+                assert np.array_equal(bits, _ref_frame_pack(frame))
+
+
+@given(frames)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_frame_pack_matches_reference(frame):
+    assert np.array_equal(frame_pack(frame), _ref_frame_pack(frame))
+
+
+@given(frames, st.sampled_from([1e-3, 0.02, 0.1, 0.5]), st.integers(0, 3),
+       st.integers(0, 2**32 - 1), st.integers(0, 300))
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_frame_unpack_outcome_matches_reference(frame, ber, noise, seed, cut):
+    # the whole noisy stream, then the same stream truncated
+    rng = np.random.default_rng(seed)
+    bits = _ref_frame_pack(frame)
+    bits = bits ^ (rng.random(len(bits)) < ber).astype(np.uint8)
+    bits = np.concatenate([rng.integers(0, 2, noise).astype(np.uint8), bits])
+    for stream in (bits, bits[:cut % len(bits)]):
+        assert _outcome(frame_unpack, stream) == _outcome(_ref_frame_unpack, stream)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 250), st.booleans())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_frame_unpack_outcome_matches_reference_on_random_streams(seed, n, with_sync):
+    # mostly no SYNC at all; with_sync plants one at a random place in noise
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, n).astype(np.uint8)
+    if with_sync and n >= 16:
+        at = int(rng.integers(0, n - 15))
+        bits[at:at + 16] = _ref_bits(codec.SYNC_WORD, 16)
+    assert _outcome(frame_unpack, bits) == _outcome(_ref_frame_unpack, bits)
 
 
 def test_hex_helpers_roundtrip():

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +292,30 @@ def test_calibration_unreachable_channel():
     laser = VernierModel(band_thz=(191.8, 193.0), fsr_front_ghz=100.0, fsr_back_ghz=109.0)
     with pytest.raises(ChannelUnreachable):
         calibrate(laser, PLAN)
+
+
+PLAN_64X50 = FrequencyPlan(channel_count=64, spacing_ghz=50.0)
+
+
+@pytest.mark.parametrize("make_laser,plan,pinned", [
+    (MemsVcselModel, PLAN, "0ef81cbdb2d6b0d5221f90ae4dbdd729e087bed755aff9cf9d5652268d650090"),
+    (ThermalDbrModel, PLAN, "30de185d9af8819532733c3496a842871af4e027f8aad1848c26efc2991577c1"),
+    (VernierModel, PLAN, "fd487b2aa8cc783012b093bfe9971cde130833857772b4497bb58becc5d89c1a"),
+    (MemsVcselModel, PLAN_64X50,
+     "498a8a631d4acf534c8986b5e9ccc223558d2068e48a537f1e80e413aca95815"),
+    (ThermalDbrModel, PLAN_64X50, (46, 50.00000000001137)),
+    (VernierModel, PLAN_64X50, (39, math.inf)),
+], ids=["mems-16x100", "dbr-16x100", "vernier-16x100", "mems-64x50", "dbr-64x50",
+        "vernier-64x50"])
+def test_calibration_tables_are_pinned(make_laser, plan, pinned):
+    # sha256 of the table text, or the (channel, residual) calibrate gives up on
+    if isinstance(pinned, str):
+        text = calibrate(make_laser(), plan).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned
+    else:
+        with pytest.raises(ChannelUnreachable) as err:
+            calibrate(make_laser(), plan)
+        assert (err.value.channel, err.value.residual_ghz) == pinned
 
 
 def test_calibration_table_text_roundtrip():
