@@ -1,8 +1,9 @@
 """Management-channel codec for the 50 kbit/s overhead channel.
 
 Framing, Hamming(15,11) forward error correction, Manchester line coding,
-bit-error injection and channel statistics.  Everything operates on plain
-0/1 vectors (numpy uint8) so the whole chain is checkable offline.
+bit-error injection and channel statistics.  The public functions take and
+return plain 0/1 vectors (numpy uint8), so the whole chain is checkable
+offline; framing and FEC work on Python ints inside.
 
 Wire layout (bit-exact, see docs/frame_format.md):
 
@@ -29,6 +30,9 @@ MAX_PAYLOAD = 16
 BLOCK_DATA_BITS = 11
 BLOCK_CODE_BITS = 15
 CRC8_POLY = 0x07
+_SYNC_MASK = (1 << SYNC_BITS) - 1
+_DATA_MASK = (1 << BLOCK_DATA_BITS) - 1
+_CODE_MASK = (1 << BLOCK_CODE_BITS) - 1
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +126,9 @@ class MgmtFrame:
             raise PayloadTooLong(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD}")
 
 
+_MAX_MSG_TYPE = max(MsgType)
+
+
 class FecStatus(Enum):
     OK = "OK"
     CORRECTED = "CORRECTED"
@@ -139,15 +146,14 @@ class FecStats:
 # bit-vector helpers
 
 def bits_from_int(value: int, width: int) -> np.ndarray:
-    """MSB-first bit vector of `value`."""
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    """MSB-first bit vector of the low `width` bits of `value`."""
+    raw = (int(value) & ((1 << width) - 1)).to_bytes(-(-width // 8), "big")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[(-width) % 8:]
 
 
 def int_from_bits(bits) -> int:
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
+    bits = np.asarray(bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
 
 def bits_to_hex(bits) -> str:
@@ -187,7 +193,11 @@ def hex_to_bits(text: str) -> np.ndarray:
 _DATA_SYNDROMES = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)
 _PARITY_SYNDROMES = (1, 2, 4, 8)
 _COLUMN_SYNDROMES = _DATA_SYNDROMES + _PARITY_SYNDROMES
-_POS_FOR_SYNDROME = {s: i for i, s in enumerate(_COLUMN_SYNDROMES)}
+# the bit of a 15-bit word to flip for each syndrome, and per syndrome bit k
+# the mask over the word (MSB = position 0) whose parity gives it
+_FLIP_FOR_SYNDROME = {s: 1 << (BLOCK_CODE_BITS - 1 - i) for i, s in enumerate(_COLUMN_SYNDROMES)}
+_S0, _S1, _S2, _S3 = (
+    sum(flip for s, flip in _FLIP_FOR_SYNDROME.items() if s >> k & 1) for k in range(4))
 
 # mask over the 11-bit data int (MSB = data bit 0) selecting bits that feed
 # parity k
@@ -200,31 +210,23 @@ _PARITY_MASKS = tuple(
 def _encode_int(data: int) -> int:
     word = data << 4
     for k in range(4):
-        if bin(data & _PARITY_MASKS[k]).count("1") & 1:
+        if (data & _PARITY_MASKS[k]).bit_count() & 1:
             word |= 1 << (3 - k)
     return word
 
 
-_ENCODE_TABLE = np.array([_encode_int(d) for d in range(1 << BLOCK_DATA_BITS)], dtype=np.uint16)
-
-
-def _syndrome_int(word: int) -> int:
-    s = 0
-    for i in range(BLOCK_CODE_BITS):
-        if word >> (BLOCK_CODE_BITS - 1 - i) & 1:
-            s ^= _COLUMN_SYNDROMES[i]
-    return s
+_ENCODE_TABLE = tuple(_encode_int(d) for d in range(1 << BLOCK_DATA_BITS))
 
 
 def _decode_int(word: int) -> tuple[int, FecStatus]:
-    s = _syndrome_int(word)
+    s = ((word & _S0).bit_count() & 1 | ((word & _S1).bit_count() & 1) << 1
+         | ((word & _S2).bit_count() & 1) << 2 | ((word & _S3).bit_count() & 1) << 3)
     if s == 0:
         return word >> 4, FecStatus.OK
-    pos = _POS_FOR_SYNDROME.get(s)
-    if pos is None:  # unreachable for (15,11): all 15 syndromes are columns
+    flip = _FLIP_FOR_SYNDROME.get(s)
+    if flip is None:  # unreachable for (15,11): all 15 syndromes are columns
         return word >> 4, FecStatus.UNCORRECTABLE
-    word ^= 1 << (BLOCK_CODE_BITS - 1 - pos)
-    return word >> 4, FecStatus.CORRECTED
+    return (word ^ flip) >> 4, FecStatus.CORRECTED
 
 
 def hamming_encode(data) -> np.ndarray:
@@ -232,7 +234,7 @@ def hamming_encode(data) -> np.ndarray:
     data = np.asarray(data, dtype=np.uint8)
     if data.shape != (BLOCK_DATA_BITS,):
         raise ValueError(f"expected {BLOCK_DATA_BITS} data bits, got shape {data.shape}")
-    return bits_from_int(int(_ENCODE_TABLE[int_from_bits(data)]), BLOCK_CODE_BITS)
+    return bits_from_int(_ENCODE_TABLE[int_from_bits(data)], BLOCK_CODE_BITS)
 
 
 def hamming_decode(word) -> tuple[np.ndarray, FecStatus]:
@@ -252,12 +254,19 @@ def parity_check_matrix() -> np.ndarray:
 # --------------------------------------------------------------------------
 # CRC8 (poly 0x07, init 0, MSB-first, no reflection)
 
+def _crc8_shift(crc: int) -> int:
+    for _ in range(8):
+        crc = ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
+
+
+_CRC8_TABLE = tuple(_crc8_shift(b) for b in range(256))
+
+
 def crc8(data: bytes) -> int:
     crc = 0
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        crc = _CRC8_TABLE[crc ^ byte]
     return crc
 
 
@@ -273,48 +282,44 @@ def packed_frame_bits(payload_len: int) -> int:
 
 def frame_pack(frame: MgmtFrame) -> np.ndarray:
     """Serialize a frame to wire bits: SYNC, then Hamming-coded body."""
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise PayloadTooLong(f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}")
-    header = bytes([(int(frame.msg_type) << 4) | frame.seq, len(frame.payload)]) + frame.payload
-    body_bytes = header + bytes([crc8(header)])
-    body = np.concatenate([bits_from_int(b, 8) for b in body_bytes])
-    pad = (-len(body)) % BLOCK_DATA_BITS
-    body = np.concatenate([body, np.zeros(pad, dtype=np.uint8)])
-    blocks = [hamming_encode(body[i:i + BLOCK_DATA_BITS])
-              for i in range(0, len(body), BLOCK_DATA_BITS)]
-    return np.concatenate([bits_from_int(SYNC_WORD, SYNC_BITS)] + blocks)
-
-
-def _find_sync(bits: np.ndarray) -> int:
-    """Index just past the first exact SYNC match; linear scan, 0 mismatches."""
-    sync = bits_from_int(SYNC_WORD, SYNC_BITS)
-    for i in range(len(bits) - SYNC_BITS + 1):
-        if np.array_equal(bits[i:i + SYNC_BITS], sync):
-            return i + SYNC_BITS
-    raise SyncNotFound("no 16-bit SYNC pattern in stream")
+    length = len(frame.payload)
+    if length > MAX_PAYLOAD:
+        raise PayloadTooLong(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    header = bytes([(int(frame.msg_type) << 4) | frame.seq, length]) + frame.payload
+    n_blocks = -(-(24 + 8 * length) // BLOCK_DATA_BITS)
+    body = int.from_bytes(header + bytes([crc8(header)]), "big") \
+        << (n_blocks * BLOCK_DATA_BITS - 24 - 8 * length)
+    word = SYNC_WORD
+    for shift in range((n_blocks - 1) * BLOCK_DATA_BITS, -1, -BLOCK_DATA_BITS):
+        word = (word << BLOCK_CODE_BITS) | _ENCODE_TABLE[(body >> shift) & _DATA_MASK]
+    return bits_from_int(word, SYNC_BITS + n_blocks * BLOCK_CODE_BITS)
 
 
 def frame_unpack(bits) -> tuple[MgmtFrame, FecStats]:
     """Parse wire bits back into a frame.
 
-    Raises SyncNotFound / FecFailure / CrcMismatch; each corresponds to one
-    lost message at the metrics layer.  A body whose decoded length field is
+    The frame starts just past the first exact SYNC match.  Raises
+    SyncNotFound / FecFailure / CrcMismatch; each corresponds to one lost
+    message at the metrics layer.  A body whose decoded length field is
     implausible (only possible after a >=2-bit miscorrection) surfaces as
     CrcMismatch since all blocks decoded individually.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    start = _find_sync(bits)
-    coded = bits[start:]
-    avail = len(coded) // BLOCK_CODE_BITS
+    stream = int_from_bits(bits)
+    for rest in range(len(bits) - SYNC_BITS, -1, -1):  # bits left after the SYNC
+        if (stream >> rest) & _SYNC_MASK == SYNC_WORD:
+            break
+    else:
+        raise SyncNotFound("no 16-bit SYNC pattern in stream")
+    avail = rest // BLOCK_CODE_BITS
 
     def decode_block(i):
-        return _decode_int(int_from_bits(coded[i * BLOCK_CODE_BITS:(i + 1) * BLOCK_CODE_BITS]))
+        return _decode_int((stream >> (rest - (i + 1) * BLOCK_CODE_BITS)) & _CODE_MASK)
 
     if avail < 2:
         raise CrcMismatch("frame truncated before length field")
     decoded = [decode_block(0), decode_block(1)]
-    head22 = (decoded[0][0] << BLOCK_DATA_BITS) | decoded[1][0]
-    length = (head22 >> 6) & 0xFF  # bits 8..15 of the body
+    length = ((decoded[0][0] << BLOCK_DATA_BITS | decoded[1][0]) >> 6) & 0xFF  # body bits 8..15
     n_blocks = -(-(24 + 8 * length) // BLOCK_DATA_BITS)
     if length > MAX_PAYLOAD or n_blocks > avail:
         raise CrcMismatch(f"decoded length field {length} invalid")
@@ -329,20 +334,13 @@ def frame_unpack(bits) -> tuple[MgmtFrame, FecStats]:
     body = 0
     for data, _ in decoded:
         body = (body << BLOCK_DATA_BITS) | data
-    body_bits = n_blocks * BLOCK_DATA_BITS
-    total = 24 + 8 * length
-
-    def field(offset, width):
-        return (body >> (body_bits - offset - width)) & ((1 << width) - 1)
-
-    msg_type, seq = field(0, 4), field(4, 4)
-    payload = bytes(field(16 + 8 * i, 8) for i in range(length))
-    header = bytes([(msg_type << 4) | seq, length]) + payload
-    if crc8(header) != field(total - 8, 8):
+    fields = (body >> (n_blocks * BLOCK_DATA_BITS - 24 - 8 * length)).to_bytes(length + 3, "big")
+    if crc8(fields[:-1]) != fields[-1]:
         raise CrcMismatch(stats=stats)
-    if msg_type > max(MsgType):
+    msg_type = fields[0] >> 4
+    if msg_type > _MAX_MSG_TYPE:
         raise CrcMismatch(f"decoded type {msg_type} invalid", stats=stats)
-    return MgmtFrame(MsgType(msg_type), seq, payload), stats
+    return MgmtFrame(MsgType(msg_type), fields[0] & 0x0F, fields[2:-1]), stats
 
 
 # --------------------------------------------------------------------------

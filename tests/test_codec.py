@@ -282,6 +282,31 @@ def _ref_frame_unpack(bits):
     return MgmtFrame(MsgType(msg_type), seq, payload), stats
 
 
+def test_decode_int_matches_loop_syndrome_on_every_word():
+    for word in range(1 << 15):
+        assert codec._decode_int(word) == _ref_decode(word)
+
+
+def test_crc8_table_matches_bitwise_loop():
+    for byte in range(256):
+        assert codec.crc8(bytes([byte])) == _ref_crc8(bytes([byte]))
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        data = rng.bytes(int(rng.integers(0, 20)))
+        assert codec.crc8(data) == _ref_crc8(data)
+
+
+def test_bit_vector_helpers_round_trip_every_width():
+    rng = np.random.default_rng(64)
+    for width in range(65):
+        for value in (0, (1 << width) - 1, 1 << width, 3 << width | 5,
+                      int(rng.integers(0, 2**63)) * (1 << 40) + int(rng.integers(0, 2**40))):
+            bits = bits_from_int(value, width)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, _ref_bits(value, width))
+            assert int_from_bits(bits) == value & ((1 << width) - 1) == _ref_int(bits)
+
+
 def _outcome(unpack, bits):
     """A decoded (frame, stats), or the raised error's type, message and stats."""
     try:
