@@ -491,6 +491,9 @@ class PortSlot:
     below_sens_ticks: int = 0
 
 
+_IDLE_SLOT = PortSlot()  # frozen, so every unassigned port can share it
+
+
 @dataclass(frozen=True)
 class CoMachine:
     ports: dict[int, PortSlot] = field(default_factory=dict)
@@ -509,7 +512,7 @@ class CoMachine:
     los_debounce_ticks: int = 3
 
     def slot(self, port: int) -> PortSlot:
-        return self.ports.get(port, PortSlot())
+        return self.ports.get(port, _IDLE_SLOT)
 
 
 def _co_with_slot(m: CoMachine, port: int, **changes) -> CoMachine:

@@ -18,6 +18,7 @@ from gmetro.protocol import (
     NmsAssign,
     NoReport,
     PortPower,
+    PortSlot,
     PowerOn,
     RaiseAlarm,
     Role,
@@ -377,6 +378,22 @@ def test_co_assign_fast_retries_then_slow_reoffer():
     m2 = co_with_port(CoPortState.MONITOR, port=6, channel=6)
     _, actions = co_transition(m2, TimerExpired("assign:6"))
     assert actions == ()
+
+
+def test_co_unassigned_ports_share_an_idle_slot_that_stays_idle():
+    idle = CoMachine().slot(3)
+    assert idle == PortSlot()
+    assert CoMachine().slot(7) is idle
+    for port, pairwise in ((3, False), (4, True)):
+        m = CoMachine(pairwise=pairwise)
+        for event in (NmsAssign(port, port), msg(proto.hello(), rx=-30.0, port=port),
+                      PortPower(port, -30.0, 3.0, 10**6), TimerExpired(f"assign:{port}"),
+                      msg(proto.lock_confirm(port), rx=-30.0, port=port),
+                      PortPower(port, -60.0, None, 2 * 10**6)):
+            m, _ = co_transition(m, event)
+        assert m.slot(port).state is CoPortState.MONITOR
+        assert m.slot(port + 1) is idle
+    assert idle == PortSlot()
 
 
 # --------------------------------------------------------------------------
