@@ -412,35 +412,40 @@ def _refine_axis(objective, lo, hi, points=33):
 def calibrate(laser, plan, unreachable_ghz: float = 5.0) -> CalibrationTable:
     """Characterize the laser against a frequency plan.
 
-    Coarse grid (9 points per axis, ~range/8 steps), golden-section
-    refinement per knob axis over three rounds, then a short polish that
-    nudges all knobs together via the model's rigid frequency step (the
-    Vernier offsets are coupled, so pure coordinate descent stalls on them).
-    Deterministic; the laser's knob state is restored afterwards.
+    Coarse grid (9 points per axis, ~range/8 steps, emitted once and
+    shared by every channel), golden-section refinement per knob axis over
+    three rounds, then a short polish that nudges all knobs together via the
+    model's rigid frequency step (the Vernier offsets are coupled, so pure
+    coordinate descent stalls on them).  Deterministic; the laser's knob
+    state is restored afterwards.
     """
     snapshot = laser.get_knobs()
     drift_snapshot = laser.drift_offset_ghz
     laser.drift_offset_ghz = 0.0
     ranges = laser.knob_ranges()
     entries = {}
+
+    def emitted_thz(knobs):
+        try:
+            laser.set_knobs(knobs)
+            return laser.emission().frequency_thz
+        except LaserError:
+            return math.inf
+
+    def signed_offset(knobs):
+        return (emitted_thz(knobs) - target) * 1000.0
+
+    def residual_of(knobs):
+        return abs(signed_offset(knobs))
+
     try:
+        grids = [np.linspace(lo, hi, 9) for lo, hi in ranges]
+        coarse = [(emitted_thz(knobs), knobs)
+                  for knobs in (tuple(float(g[i]) for g, i in zip(grids, combo))
+                                for combo in np.ndindex(*(len(g) for g in grids)))]
         for channel in range(plan.channel_count):
             target = plan.center_thz(channel)
-
-            def signed_offset(knobs):
-                try:
-                    laser.set_knobs(knobs)
-                    return (laser.emission().frequency_thz - target) * 1000.0
-                except LaserError:
-                    return math.inf
-
-            def residual_of(knobs):
-                return abs(signed_offset(knobs))
-
-            grids = [np.linspace(lo, hi, 9) for lo, hi in ranges]
-            best = min((tuple(float(g[i]) for g, i in zip(grids, combo))
-                        for combo in np.ndindex(*(len(g) for g in grids))),
-                       key=residual_of)
+            best = min(coarse, key=lambda fk: abs((fk[0] - target) * 1000.0))[1]
 
             knobs = list(best)
             for _ in range(3):
