@@ -349,16 +349,22 @@ def test_frame_unpack_outcome_matches_reference(frame, ber, noise, seed, cut):
         assert _outcome(frame_unpack, stream) == _outcome(_ref_frame_unpack, stream)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 250), st.booleans())
+@given(st.integers(0, 2**32 - 1), st.integers(0, 250), st.integers(0, 2))
 @settings(max_examples=500, deadline=None, derandomize=True)
-def test_frame_unpack_outcome_matches_reference_on_random_streams(seed, n, with_sync):
-    # mostly no SYNC at all; with_sync plants one at a random place in noise
+def test_frame_unpack_outcome_matches_reference_on_random_streams(seed, n, syncs):
+    # noise with 0, 1 or 2 SYNC words planted at random places
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, n).astype(np.uint8)
-    if with_sync and n >= 16:
+    for _ in range(syncs if n >= 16 else 0):
         at = int(rng.integers(0, n - 15))
         bits[at:at + 16] = _ref_bits(codec.SYNC_WORD, 16)
     assert _outcome(frame_unpack, bits) == _outcome(_ref_frame_unpack, bits)
+
+
+def test_frame_unpack_reads_the_frame_at_the_first_sync():
+    first, second = MgmtFrame(MsgType.HELLO, 1), MgmtFrame(MsgType.ACK, 2, b"\x31")
+    out, _ = frame_unpack(np.concatenate([frame_pack(first), frame_pack(second)]))
+    assert out == first
 
 
 def test_hex_helpers_roundtrip():
