@@ -5,8 +5,17 @@ that changes any trace record, any metric or the event order fails here.
 A change that is meant to alter behaviour must say which digest moved and
 why.  All times are whole milliseconds, so the ms -> us conversion cannot
 move a digest.
+
+The runs behind the digests are stored gzipped under ``tests/golden/``
+(``<name>.trace.gz`` and ``<name>.metrics.json.gz``), and each pair must
+hash to its digest.  When a run no longer matches, the failure names the
+first record that differs from the stored trace and the change in record
+count per kind.  After a digest has moved on purpose, rewrite the stored
+runs with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import collections
+import gzip
 import hashlib
 import pathlib
 
@@ -18,6 +27,7 @@ from gmetro.link import FrequencyPlan
 from gmetro.scenario import parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+STORED = pathlib.Path(__file__).resolve().parent / "golden"
 FAMILIES = ("mems", "dbr", "vernier")
 
 
@@ -65,21 +75,68 @@ GOLDEN = {
 }
 
 
+def digest_of(trace_text: str, metrics_json: str) -> str:
+    return hashlib.sha256((trace_text + metrics_json).encode()).hexdigest()
+
+
 def run_digest(scenario: Scenario):
     trace, metrics = engine.run(scenario)
-    digest = hashlib.sha256((trace.render() + metrics.to_json()).encode()).hexdigest()
-    return digest, metrics
+    return digest_of(trace.render(), metrics.to_json()), metrics
+
+
+def stored(name: str) -> tuple[str, str]:
+    """(rendered trace, metrics JSON) of the stored golden run."""
+    return tuple(gzip.decompress((STORED / f"{name}.{part}.gz").read_bytes()).decode()
+                 for part in ("trace", "metrics.json"))
+
+
+def drift_report(name: str, trace_text: str, metrics_json: str) -> str:
+    """Where a run departs from the stored one: the first differing record
+    and the change in record count per kind."""
+    old_text, old_metrics = stored(name)
+    old, new = old_text.splitlines(), trace_text.splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    lines = [f"{name}: first differing record is #{first}",
+             f"  stored: {old[first] if first < len(old) else '(end of trace)'}",
+             f"  now:    {new[first] if first < len(new) else '(end of trace)'}"]
+    count = collections.Counter(line.split("\t")[2] for line in new)
+    count.subtract(line.split("\t")[2] for line in old)
+    changed = {kind: n for kind, n in sorted(count.items()) if n}
+    lines.append(f"  record count change per kind: {changed or 'none'}")
+    if metrics_json != old_metrics:
+        lines.append("  metrics differ from the stored metrics JSON")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stored_golden_run_hashes_to_its_digest(name):
+    assert digest_of(*stored(name)) == GOLDEN[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
     build, expected = GOLDEN[name]
-    digest, metrics = run_digest(build())
-    assert digest == expected
+    trace, metrics = engine.run(build())
+    trace_text, metrics_json = trace.render(), metrics.to_json()
+    assert digest_of(trace_text, metrics_json) == expected, \
+        drift_report(name, trace_text, metrics_json)
     if name == "horseshoe6_ber":
         assert metrics.retransmissions > 0
         assert metrics.blocks_corrected > 0
 
+
+def test_drift_report_names_the_first_change_and_the_count_per_kind():
+    trace_text, metrics_json = stored("pairwise")
+    lines = trace_text.splitlines(keepends=True)
+    assert drift_report("pairwise", trace_text, metrics_json).endswith(
+        "record count change per kind: none")
+    kind = lines[5].split("\t")[2]
+    edited = lines[:5] + lines[6:] + ["99999999\tru0\tALARM\tinvented\n"]
+    report = drift_report("pairwise", "".join(edited), metrics_json + " ")
+    assert "first differing record is #5" in report
+    assert f"now:    {lines[6].rstrip()}" in report
+    assert f"'ALARM': 1, '{kind}': -1" in report or f"'{kind}': -1, 'ALARM': 1" in report
+    assert report.endswith("metrics differ from the stored metrics JSON")
 
 def clean_then_noisy() -> Scenario:
     """4 calibrated RUs on a clean channel that steps to BER 1e-3 mid-run.
@@ -98,3 +155,11 @@ def test_clean_deliveries_keep_their_channel_draws():
     digest, metrics = run_digest(clean_then_noisy())
     assert digest == "7343af6d5973c41e563bd62f783a480dbe571b3864318e7145e17f56249cb927"
     assert metrics.blocks_corrected > 0
+
+
+if __name__ == "__main__":
+    STORED.mkdir(exist_ok=True)
+    for name, (build, _) in sorted(GOLDEN.items()):
+        trace, metrics = engine.run(build())
+        for part, text in (("trace", trace.render()), ("metrics.json", metrics.to_json())):
+            (STORED / f"{name}.{part}.gz").write_bytes(gzip.compress(text.encode(), mtime=0))
