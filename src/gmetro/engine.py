@@ -6,8 +6,15 @@ streams derived from (seed, entity id), and one frame delivery pipeline for
 both directions: pack -> power gate -> bit errors -> decode -> machine
 transition (a frame that fails the power gate is never packed).  Bit errors
 are drawn on decoded bits, so the Manchester line code, which is modelled in
-``codec`` for the spectral mask, is not applied here.  Identical (scenario,
-seed) pairs produce byte-identical traces.
+``codec`` for the spectral mask, is not applied here.  At BER 0 a frame is
+delivered as sent, unpacked, but the receiver still draws one channel number
+per wire bit, as ``apply_bit_errors`` would, so a later BER step reads the
+same stream.  Identical (scenario, seed) pairs produce byte-identical traces.
+
+The safety checks on each send cost O(filters near the frequency + floor
+classes + victim COs), not O(RUs): at a CO's demux only the ports near the
+frequency are computed, and every other port is exactly its floor (see the
+comment above the checks).
 
 Port monitoring is one heap entry per CO per tick, which samples the CO's
 ports in the order they were assigned.  A WAIT_DETECT port is sampled, so
@@ -20,6 +27,7 @@ gain is kept until the plant or the frequency changes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -165,6 +173,13 @@ LASER_FAMILIES = {
     "dbr": ThermalDbrModel,
     "vernier": VernierModel,
 }
+
+
+@functools.lru_cache(maxsize=16)
+def calibration_table(family: str, plan: FrequencyPlan) -> lasers.CalibrationTable:
+    """A fresh laser of the family calibrated against the plan, computed
+    once per process: the table depends on nothing else."""
+    return calibrate(LASER_FAMILIES[family](), plan)
 
 
 def build_topology(scenario: Scenario) -> Topology:
@@ -395,6 +410,9 @@ class CoEntity:
     ticking: list[int] = field(default_factory=list)
     # port -> (plant, frequency, gain or None), see Sim._port_gain
     gains: dict[int, tuple] = field(default_factory=dict)
+    # port -> (plant, frequency, power) of its last send that passed the
+    # downstream isolation check
+    isolated: dict[int, tuple] = field(default_factory=dict)
     # prefetched standard normals of rng_meas, see Sim._meas_normal
     meas_z: Iterator[float] = field(default_factory=lambda: iter(()))
 
@@ -455,22 +473,17 @@ class Sim:
         self._settled = 0
         self._tuner_count = len(scenario.rus) + \
             sum(spec.role == "primary" for spec in scenario.cos)
+        # (plant, levels) of the settled RUs, see _victim_levels
+        self._victims: tuple | None = None
 
         seed = scenario.run.seed
         sweep_plan = plan_sweep(self.plan, scenario.topo.filter_bandwidth_ghz,
                                 scenario.run.latency_worst_ms)
-        tables: dict[str, lasers.CalibrationTable] = {}
-
-        def table(family: str) -> lasers.CalibrationTable:
-            if family not in tables:
-                tables[family] = calibrate(LASER_FAMILIES[family](), self.plan)
-            return tables[family]
-
         self.rus: dict[str, RuEntity] = {}
         for spec in scenario.rus:
             laser = LASER_FAMILIES[spec.laser]()
             machine = RuMachine(
-                calibration=table(spec.laser) if spec.calibrated else None,
+                calibration=calibration_table(spec.laser, self.plan) if spec.calibrated else None,
                 sweep_plan=sweep_plan,
                 full_power_dbm=scenario.mgmt.tx_power_dbm,
                 settle_us=ms_to_us(laser.settle_time_ms),
@@ -484,6 +497,9 @@ class Sim:
                 rng_drift=entity_rng(seed, spec.name, "drift"),
                 rng_channel=entity_rng(seed, spec.name, "channel"),
             )
+        # RU index i is entry i of every FilterBank: both follow scenario order
+        self._ru_list = list(self.rus.values())
+        self._ru_index = {name: i for i, name in enumerate(self.rus)}
 
         self.cos: dict[str, CoEntity] = {}
         for spec in scenario.cos:
@@ -505,7 +521,7 @@ class Sim:
                     name=f"{spec.name}.tx", co=spec.name, laser=laser,
                     machine=RuMachine(
                         role=Role.PRIMARY,
-                        calibration=table(spec.laser),
+                        calibration=calibration_table(spec.laser, self.plan),
                         sweep_plan=sweep_plan,
                         full_power_dbm=scenario.mgmt.tx_power_dbm,
                         settle_us=ms_to_us(laser.settle_time_ms),
@@ -653,18 +669,24 @@ class Sim:
         if rx_power < self.mgmt.rx_sensitivity_dbm:
             self._lost(label, frame, LOST_BELOW_SENSITIVITY, f"rx={rx_power:.1f}dBm")
             return
-        noisy = codec.apply_bit_errors(codec.frame_pack(frame), self.ber,
-                                       receiver.rng_channel)
-        try:
-            decoded, stats = codec.frame_unpack(noisy)
-        except (codec.SyncNotFound, codec.FecFailure, codec.CrcMismatch) as err:
-            self._lost(label, frame, DECODE_LOSS[type(err)])
-            return
+        if self.ber == 0:
+            # the channel draw of apply_bit_errors, which flips nothing here
+            receiver.rng_channel.random(codec.packed_frame_bits(len(frame.payload)))
+            decoded, corrected = frame, 0
+        else:
+            noisy = codec.apply_bit_errors(codec.frame_pack(frame), self.ber,
+                                           receiver.rng_channel)
+            try:
+                decoded, stats = codec.frame_unpack(noisy)
+            except (codec.SyncNotFound, codec.FecFailure, codec.CrcMismatch) as err:
+                self._lost(label, frame, DECODE_LOSS[type(err)])
+                return
+            corrected = stats.corrected
         self.metrics.frames_delivered += 1
-        self.metrics.blocks_corrected += stats.corrected
+        self.metrics.blocks_corrected += corrected
         self.trace.add(self.now_us, label, "DELIVER",
                        f"type={decoded.msg_type.name} seq={decoded.seq} "
-                       f"rx={rx_power:.1f}dBm corrected={stats.corrected}")
+                       f"rx={rx_power:.1f}dBm corrected={corrected}")
 
         if decoded.msg_type is MsgType.ACK:
             acked_type = MsgType(decoded.payload[0] >> 4)
@@ -699,7 +721,10 @@ class Sim:
         after = tuner.machine.state
         if after is not before:
             self.trace.add(self.now_us, tuner.name, "STATE", f"{before.value}->{after.value}")
-            self._settled += (after in tuner.settled_states) - (before in tuner.settled_states)
+            settled = (after in tuner.settled_states) - (before in tuner.settled_states)
+            if settled:
+                self._settled += settled
+                self._victims = None
         self._apply_tuner_actions(tuner, actions)
         # a LOCK is the completion of a tuning procedure; quiet HOLD->LOCKED
         # returns inside the deadband are not re-locks
@@ -722,6 +747,7 @@ class Sim:
                                f"f={state.frequency_thz:.6f}THz")
             elif isinstance(action, SetPower):
                 tuner.emission = None
+                self._victims = None
                 laser.set_power(action.power_dbm)
                 self.trace.add(self.now_us, tuner.name, "POWER",
                                f"p={action.power_dbm:.1f}dBm")
@@ -787,42 +813,80 @@ class Sim:
     # ---------------------------------------------------------------- safety
 
     # Each check repeats path_gain's float operations in the same order, with
-    # everything that does not depend on the victim hoisted out of its loop:
-    # the sender's path loss up to the CO port filter, and for a downstream
-    # send that port's filter.  Results equal per-victim path_gain calls bit
-    # for bit.
+    # everything that does not depend on the victim hoisted out: the sender's
+    # path loss up to the CO port filter, and for a downstream send that
+    # port's filter.  At a CO's demux, the ports near the frequency
+    # (FilterBank.near) are checked one by one; every other port attenuates
+    # exactly its floor, so for each floor class one comparison, with the
+    # class's first member that is neither near nor the sender, stands for
+    # all of it.  Crosstalk victims are sorted by level within a class, and
+    # rounded subtraction is monotone, so the lowest level gives the class's
+    # smallest margin.  A downstream check depends only on the plant, port,
+    # frequency and power, so its passes are kept per port.  Results,
+    # messages and metrics equal per-victim path_gain calls bit for bit, and
+    # a violation names the lowest RU index, as a loop in RU order would.
 
     def _check_sweep_crosstalk(self, sweeper: RuEntity, f_thz: float, power: float):
-        margin_floor = self.scenario.run.crosstalk_min_margin_db
         plant = self.topology.plant
-        # victim CO -> (sweeper loss up to the port filter, that CO's port
-        # attenuations at f_thz in RU order), or None when there is no path.
-        # self.rus and the topology both list the RUs in scenario order, so
-        # entry i of a bank is the port of the i-th RU.
-        leak: dict[str, tuple[float, list[float]] | None] = {}
-        for i, other in enumerate(self.rus.values()):
-            if other is sweeper or other.machine.state not in SETTLED:
+        if self._victims is None or self._victims[0] is not plant:
+            self._victims = (plant, self._victim_levels(plant))
+        me = self._ru_index[sweeper.name]
+        low = math.inf
+        reached = []            # (base, near ports, classes) per victim CO in reach
+        for victim_co, (levels, classes) in self._victims[1].items():
+            try:
+                base = plant.path_to_co(sweeper.name, victim_co).loss_at(f_thz)
+            except NoPath:
+                continue
+            near = plant.bank(victim_co).near(f_thz)
+            reached.append((base, near, classes))
+            for i, att in near.items():
+                level = levels.get(i)
+                if level is not None and i != me:
+                    low = min(low, level - (power + -(base + att)))
+            for floor, entries in classes:
+                lowest = next((level for level, i in entries if i != me and i not in near), None)
+                if lowest is not None:
+                    low = min(low, lowest - (power + -(base + floor)))
+        margin_floor = self.scenario.run.crosstalk_min_margin_db
+        if self.scenario.run.safety_checks and low < margin_floor:
+            # the lowest violating RU index, and the minimum over the victims
+            # up to it, which is what a loop in RU order would have seen
+            margins = {i: level - (power + -(base + near.get(i, floor)))
+                       for base, near, classes in reached for floor, entries in classes
+                       for level, i in entries if i != me}
+            first = min(i for i, margin in margins.items() if margin < margin_floor)
+            low = min(margin for i, margin in margins.items() if i <= first)
+            self.metrics.min_crosstalk_margin_db = min(self.metrics.min_crosstalk_margin_db, low)
+            raise SafetyViolation(
+                f"sweep of {sweeper.name} leaves only {margins[first]:.1f} dB margin "
+                f"on channel {self._ru_list[first].channel}")
+        if low < self.metrics.min_crosstalk_margin_db:
+            self.metrics.min_crosstalk_margin_db = low
+
+    def _victim_levels(self, plant: link.Plant) -> dict:
+        """Carrier level (laser power plus gain) of every settled RU at its
+        CO, as victim CO -> ({RU index: level}, [(floor, [(level, RU index)]
+        ascending)]).  Kept until the plant changes, an RU enters or leaves
+        its settled states, or a laser's power is set."""
+        levels: dict[str, dict[int, float]] = {}
+        for i, other in enumerate(self._ru_list):
+            if other.machine.state not in SETTLED:
                 continue
             try:
                 victim_co, victim_gain = plant.carrier(other.name)
             except NoPath:
                 continue
-            if victim_co not in leak:
-                try:
-                    leak[victim_co] = (plant.path_to_co(sweeper.name, victim_co).loss_at(f_thz),
-                                       plant.bank(victim_co).attenuation_db(f_thz))
-                except NoPath:
-                    leak[victim_co] = None
-            if leak[victim_co] is None:
-                continue
-            base, port_att = leak[victim_co]
-            margin = (other.laser.power_dbm + victim_gain) - (power + -(base + port_att[i]))
-            if margin < self.metrics.min_crosstalk_margin_db:
-                self.metrics.min_crosstalk_margin_db = margin
-            if self.scenario.run.safety_checks and margin < margin_floor:
-                raise SafetyViolation(
-                    f"sweep of {sweeper.name} leaves only {margin:.1f} dB margin "
-                    f"on channel {other.channel}")
+            levels.setdefault(victim_co, {})[i] = other.laser.power_dbm + victim_gain
+        out = {}
+        for victim_co, by_index in levels.items():
+            classes = []
+            for floor, members in plant.bank(victim_co).floor_groups.items():
+                entries = sorted((by_index[i], i) for i in members if i in by_index)
+                if entries:
+                    classes.append((floor, entries))
+            out[victim_co] = (by_index, classes)
+        return out
 
     def _check_upstream_isolation(self, ru: RuEntity, f_thz: float, power: float,
                                   co_name: str):
@@ -833,18 +897,26 @@ class Sim:
             return
         sensitivity = self.mgmt.rx_sensitivity_dbm
         # the bank lists ports in RU order, as self.rus does
-        for other, port_att in zip(self.rus.values(), plant.bank(co_name).attenuation_db(f_thz)):
-            if other is not ru and power + -(base + port_att) >= sensitivity:
-                raise SafetyViolation(
-                    f"frames of {ru.name} decodable on foreign port {other.channel}")
+        bank = plant.bank(co_name)
+        near = bank.near(f_thz)
+        me = self._ru_index[ru.name]
+        hits = [i for i, att in near.items() if i != me and power + -(base + att) >= sensitivity]
+        for floor, members in bank.floor_groups.items():
+            if power + -(base + floor) >= sensitivity:
+                hits += [i for i in members if i != me and i not in near][:1]
+        if hits:
+            raise SafetyViolation(
+                f"frames of {ru.name} decodable on foreign port {self._ru_list[min(hits)].channel}")
 
     def _check_downstream_isolation(self, co: CoEntity, port: int, f_thz: float,
                                     power: float):
         plant = self.topology.plant
+        if co.isolated.get(port) == (plant, f_thz, power):
+            return
         port_filter = plant.port_filters.get((co.name, port))
         port_att = None if port_filter is None else port_filter.attenuation_db(f_thz)
         sensitivity = self.mgmt.rx_sensitivity_dbm
-        for other in self.rus.values():
+        for other in self._ru_list:
             if other.channel == port:
                 continue
             try:
@@ -856,6 +928,7 @@ class Sim:
             if power + -loss >= sensitivity:
                 raise SafetyViolation(
                     f"port {port} frames decodable at {other.name}")
+        co.isolated[port] = (plant, f_thz, power)
 
     # ---------------------------------------------------------------- events
 

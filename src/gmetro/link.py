@@ -18,6 +18,7 @@ plant on first use.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -280,29 +281,39 @@ class Plant:
 class FilterBank:
     """Filters evaluated together at one frequency.
 
-    Only the entries within their floor crossover distance, plus a margin
-    that float error cannot cross, are computed by
-    ``FilterModel.attenuation_db``; every other entry is exactly its floor,
-    which is what that call would return.  A missing filter (None)
-    attenuates 0 dB."""
+    ``near(f)`` computes, with ``FilterModel.attenuation_db``, only the
+    entries within their floor crossover distance of ``f``, plus a margin
+    that float error cannot cross; every other entry is exactly its floor,
+    which is what that call would return.  ``floor_groups`` maps each floor
+    to its entries in bank order.  A missing filter is floor 0.0 and never
+    near."""
 
     def __init__(self, node: str, channels: list[int],
                  port_filters: dict[tuple[str, int], FilterModel]):
-        self._entries = []      # (filter, centre, reach, floor)
-        for ch in channels:
+        near = []               # (centre, index, filter, reach)
+        self.floor_groups: dict[float, list[int]] = {}
+        for i, ch in enumerate(channels):
             f = port_filters.get((node, ch))
             if f is None:
-                self._entries.append((None, math.inf, 0.0, 0.0))
+                self.floor_groups.setdefault(0.0, []).append(i)
                 continue
+            self.floor_groups.setdefault(f.isolation_floor_db, []).append(i)
             # attenuation_db reaches the floor at this distance from the centre
             reach = f.bandwidth_3db_ghz / 2000.0 * \
                 (max(f.isolation_floor_db, 0.0) / DB_3) ** (1.0 / (2 * f.order))
-            self._entries.append((f, f.center_thz, reach * (1.0 + 1e-6) + 1e-9,
-                                  f.isolation_floor_db))
+            near.append((f.center_thz, i, f, reach * (1.0 + 1e-6) + 1e-9))
+        near.sort(key=lambda entry: entry[0])
+        self._near = near
+        self._centres = [entry[0] for entry in near]
+        # the bisect window spans twice the widest reach: a superset
+        self._window = 2.0 * max((entry[3] for entry in near), default=0.0)
 
-    def attenuation_db(self, f_thz: float) -> list[float]:
-        return [flt.attenuation_db(f_thz) if abs(f_thz - centre) <= reach else floor
-                for flt, centre, reach, floor in self._entries]
+    def near(self, f_thz: float) -> dict[int, float]:
+        """{entry index: attenuation at f_thz} of the entries within reach."""
+        lo = bisect.bisect_left(self._centres, f_thz - self._window)
+        hi = bisect.bisect_right(self._centres, f_thz + self._window)
+        return {i: flt.attenuation_db(f_thz) for centre, i, flt, reach in self._near[lo:hi]
+                if abs(f_thz - centre) <= reach}
 
 
 def path_gain(topo: Topology, frm: str, to: str, f_thz: float,

@@ -113,6 +113,18 @@ def test_frame_pack_minimal_hello_is_61_bits():
     assert codec.packed_frame_bits(0) == 61
 
 
+@pytest.mark.parametrize("msg_type", list(MsgType))
+def test_packed_length_and_clean_roundtrip_of_every_type_and_payload_length(msg_type):
+    # the engine delivers a frame on a clean channel as sent, drawing
+    # packed_frame_bits(len(payload)) channel numbers as apply_bit_errors would
+    for n in range(17):
+        frame = MgmtFrame(msg_type, n % 16, bytes(range(n)))
+        bits = frame_pack(frame)
+        assert len(bits) == codec.packed_frame_bits(n)
+        out, stats = frame_unpack(bits)
+        assert out == frame and stats.corrected == 0
+
+
 def test_frame_pack_starts_with_sync():
     bits = frame_pack(MgmtFrame(MsgType.ACK, seq=3, payload=b"\x12"))
     assert int_from_bits(bits[:16]) == codec.SYNC_WORD

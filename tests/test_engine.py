@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from gmetro import codec, engine, link
+from gmetro import codec, engine, lasers, link
 from gmetro.engine import (
     CoSpec,
     DeadlockError,
@@ -24,7 +24,9 @@ from gmetro.engine import (
     validate,
 )
 from gmetro.link import FrequencyPlan
-from gmetro.protocol import CoPortState, PortPower, PortSlot, RuState, co_transition
+from gmetro.protocol import (
+    CoPortState, LinkDown, PortPower, PortSlot, RuState, SetPower, TimerExpired, co_transition,
+)
 from gmetro.scenario import parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -121,6 +123,15 @@ def test_method1_trace_has_lock_line():
     assert len(locks) == 1
     assert locks[0].entity == "ru0"
     assert locks[0].details.startswith("ch=0 f=192.1")
+
+
+def test_calibration_is_shared_by_sims_of_one_family_and_plan():
+    sc = single_ru_scenario(calibrated=True)
+    table = Sim(sc).rus["ru0"].machine.calibration
+    assert Sim(sc).rus["ru0"].machine.calibration is table
+    assert table == lasers.calibrate(lasers.MemsVcselModel(), sc.plan)
+    other = replace(sc, plan=FrequencyPlan(channel_count=8))
+    assert Sim(other).rus["ru0"].machine.calibration is not table
 
 
 # --------------------------------------------------------------------------
@@ -422,6 +433,31 @@ def test_settled_count_matches_a_scan_after_every_event(name):
     assert len(counts) > 1
 
 
+def victim_levels_run(name):
+    if name == "horseshoe6_ber":
+        from test_golden import horseshoe6_ber
+        return Sim(horseshoe6_ber())
+    return shipped_sim(name)
+
+
+@pytest.mark.parametrize("name", HAND_RUN + ["horseshoe6_ber"])
+def test_kept_victim_levels_equal_a_rebuild_after_every_event(name):
+    # a kept set of levels is used only on the plant it was built on
+    sim = victim_levels_run(name)
+    seen = []
+    for _ in events_by_hand(sim):
+        plant = sim.topology.plant
+        if sim._victims is not None and sim._victims[0] is plant:
+            assert sim._victims[1] == sim._victim_levels(plant)
+        else:
+            # keep levels in place from here, as a sweep check would
+            sim._victims = (plant, sim._victim_levels(plant))
+        if sim._victims[1] not in seen:
+            seen.append(sim._victims[1])
+    # the levels changed as RUs locked (and, on a horseshoe, switched COs)
+    assert len(seen) > 1
+
+
 # --------------------------------------------------------------------------
 # monitor ticks and their caches
 
@@ -651,8 +687,9 @@ def leaky_sims():
     return [pytest.param(tree, id="tree"), pytest.param(horseshoe, id="horseshoe")]
 
 
-@pytest.mark.parametrize("sim", leaky_sims())
-def test_hoisted_safety_checks_equal_per_victim_path_gain(sim):
+def checks_against_references(sim):
+    """Compare the three checks with the per-victim references over a grid
+    of frequencies and powers; return which (check, fired) outcomes showed."""
     lo, hi = sim.plan.band_edges_thz()
     grid = [lo + (hi - lo) * k / 120 for k in range(121)]
     grid += [sim.plan.center_thz(ch) + d for ch in range(sim.plan.channel_count)
@@ -677,5 +714,59 @@ def test_hoisted_safety_checks_equal_per_victim_path_gain(sim):
                     assert violation(sim._check_downstream_isolation, co, port, f_thz,
                                      power) == want
                     fired.add(("down", want is not None))
+    return fired
+
+
+@pytest.mark.parametrize("sim", leaky_sims())
+def test_hoisted_safety_checks_equal_per_victim_path_gain(sim):
+    fired = checks_against_references(sim)
     # every check both passed and fired somewhere on the grid
     assert fired == {(c, v) for c in ("up", "xt", "down") for v in (True, False)}
+
+    # The kept victim levels and isolation passes follow the engine's own
+    # changes, each checked on its own: a power change through
+    # _apply_tuner_actions, an unlock and a lock through _run_tuner, and the
+    # plant cut and restored.  The frames those transitions send are not
+    # under test here.
+    sim._send = lambda *args, **kwargs: None
+    ru0, ru1, _, ru3, _, _ = sim.rus.values()
+
+    def power_change():
+        sim._apply_tuner_actions(ru3, (SetPower(-9.0),))
+
+    def unlock():
+        sim._run_tuner(ru1, LinkDown())
+        assert ru1.machine.state is RuState.FINE_TUNE
+
+    def lock():
+        ru0.machine = replace(ru0.machine, state=RuState.DIRECT_TUNING,
+                              assigned_channel=ru0.channel)
+        ru0.laser.set_frequency(sim.plan.center_thz(ru0.channel))
+        ru0.emission = None
+        sim._run_tuner(ru0, TimerExpired("settle", time_us=sim.now_us))
+        assert ru0.machine.state is RuState.LOCKED
+
+    for step in (power_change, unlock, lock):
+        step()
+        assert checks_against_references(sim) >= {("xt", True), ("xt", False)}
+    span = "drop_ru3" if sim.topology.kind is link.TopologyKind.TREE else "s2"
+    flipped = 0
+    for change in (link.apply_cut, link.restore):
+        before = sim.topology
+        after = change(before, span)
+        # downstream sends half a channel off each port's centre, where only
+        # the neighbouring RU can decode them, made on the old plant and then
+        # on the new one: a pass kept from the old plant must not answer for
+        # the new
+        for co in sim.cos.values():
+            for port in range(sim.plan.channel_count):
+                for f_thz in (sim.plan.center_thz(port) + d for d in (-0.025, 0.025)):
+                    outcomes = []
+                    for sim.topology in (before, after):
+                        want = reference_downstream(sim, co, port, f_thz, -30.0)
+                        assert violation(sim._check_downstream_isolation, co, port, f_thz,
+                                         -30.0) == want
+                        outcomes.append(want is None)
+                    flipped += outcomes == [True, False]
+        assert checks_against_references(sim) >= {("xt", True), ("xt", False)}
+    assert flipped > 0

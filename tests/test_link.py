@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gmetro.link import (
     DB_3,
+    FilterBank,
     FilterModel,
     FrequencyPlan,
     LinkError,
@@ -333,10 +334,13 @@ def test_compiled_plant_equals_scalar_formula(topo):
             spans = {s.name: s for s in topo.spans}
             if compiled is not None:
                 assert compiled.length_km == sum(spans[s].length_km for s in route.span_names)
+            floor_of = {i: floor for floor, members in bank.floor_groups.items()
+                        for i in members}
             for f in grid:
-                port_att = bank.attenuation_db(f)
+                near = bank.near(f)
                 for i, port in enumerate(topo.ru_channels.values()):
-                    assert port_att[i] == topo.port_filters[(co, port)].attenuation_db(f)
+                    assert near.get(i, floor_of[i]) == \
+                        topo.port_filters[(co, port)].attenuation_db(f)
                 for port in range(PLAN50.channel_count):
                     want = reference_gain(topo, ru, co, f, port)
                     if want is None:
@@ -348,6 +352,25 @@ def test_compiled_plant_equals_scalar_formula(topo):
                     # the engine's hoisted form: sender loss once, port filter per victim
                     assert -(compiled.loss_at(f) +
                              topo.port_filters[(co, port)].attenuation_db(f)) == want
+
+
+def test_filter_bank_with_mixed_floors_and_a_missing_filter():
+    # channels out of frequency order, two floors, one order-3 filter and
+    # channel 5 without a filter at this node
+    channels = [4, 0, 5, 2, 7, 1]
+    filters = {("n", ch): FilterModel(PLAN50.center_thz(ch), 50.0 + 10.0 * (ch % 2),
+                                      order=3 if ch == 7 else 2,
+                                      isolation_floor_db=20.0 if ch in (0, 7) else 35.0)
+               for ch in channels if ch != 5}
+    bank = FilterBank("n", channels, filters)
+    assert bank.floor_groups == {35.0: [0, 3, 5], 20.0: [1, 4], 0.0: [2]}
+    floor_of = {i: floor for floor, members in bank.floor_groups.items() for i in members}
+    for f in frequency_grid(PLAN50) + frequency_grid(PLAN50, 60.0, 20.0):
+        near = bank.near(f)
+        assert 2 not in near
+        for i, ch in enumerate(channels):
+            want = 0.0 if ch == 5 else filters[("n", ch)].attenuation_db(f)
+            assert near.get(i, floor_of[i]) == want
 
 
 def test_compiled_plant_follows_cut_and_restore():
