@@ -17,12 +17,12 @@ frequency are computed, and every other port is exactly its floor (see the
 comment above the checks).
 
 Port monitoring is one heap entry per CO per tick, which samples the CO's
-ports in the order they were assigned.  A WAIT_DETECT port is sampled, so
-it draws from the measurement noise stream like any other, but its reading
-is not passed to the CO machine, which ignores raw power until a HELLO
-decodes.  A tuner's laser emission is cached and recomputed only after the
-engine changes that laser (knobs, power or drift), and each port's path
-gain is kept until the plant or the frequency changes.
+ports in assignment order.  Every port is sampled and draws its noise, but
+the CO machine gets no reading it would return unchanged: none of a
+WAIT_DETECT port, which waits for a decoded HELLO, and no quiet MONITOR
+reading (``protocol.quiet_reading``).  A tuner's laser emission is cached
+until the engine changes that laser (knobs, power or drift), and each
+port's path gain until the plant or the frequency changes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .protocol import (
     ArmTimer, CoMachine, CoPortState, DriftTick, LinkDown, MsgReceived,
     NmsAssign, PortPower, PowerOn, RaiseAlarm, Role, RuMachine, RuState,
     Send, SetKnobs, SetPower, TimerExpired, co_transition, plan_sweep,
-    ru_transition,
+    quiet_reading, ru_transition,
 )
 
 PROPAGATION_US_PER_KM = 5.0
@@ -950,8 +950,9 @@ class Sim:
     def _monitor_tick(self, co: CoEntity):
         """Sample each of the CO's ticking ports, in assignment order.  A port
         leaves the chain once its slot is IDLE or no RU sits on its channel."""
-        run = self.scenario.run
-        ru_by_channel = self.topology.plant.ru_by_channel
+        run, rus, now, sens = self.scenario.run, self.rus, self.now_us, self.mgmt.rx_sensitivity_dbm
+        ru_by_channel, center_thz = self.topology.plant.ru_by_channel, self.plan.center_thz
+        emission, port_gain, meas_normal = self._emission, self._port_gain, self._meas_normal
         ticking = []
         for port in co.ticking:
             slot = co.machine.slot(port)
@@ -959,24 +960,24 @@ class Sim:
             if slot.state is CoPortState.IDLE or ru_name is None:
                 continue
             ticking.append(port)
-            state = self._emission(self.rus[ru_name])
-            gain = self._port_gain(co, port, ru_name, state.frequency_thz)
+            state = emission(rus[ru_name])
+            gain = port_gain(co, port, ru_name, state.frequency_thz)
             power = -math.inf if gain is None else state.power_dbm + gain
             noise = run.measurement_noise_ghz
             if slot.state is CoPortState.CONFIRMING:
                 noise /= 4.0  # confirmation integrates 16x longer than a hold tick
             offset_est = None
-            if power >= self.mgmt.rx_sensitivity_dbm:
-                true_off = (state.frequency_thz - self.plan.center_thz(port)) * 1000.0
-                sample = true_off + (noise * self._meas_normal(co) if noise > 0 else 0.0)
+            if power >= sens:
+                true_off = (state.frequency_thz - center_thz(port)) * 1000.0
+                sample = true_off + (noise * meas_normal(co) if noise > 0 else 0.0)
                 offset_est = round(sample * 10.0) / 10.0
-            # co_transition ignores the power of a WAIT_DETECT port: it waits
-            # for a decoded HELLO
-            if slot.state is not CoPortState.WAIT_DETECT and \
-                    (run.hold_enabled or slot.state is not CoPortState.MONITOR):
-                self._run_co(co, PortPower(port, power, offset_est, time_us=self.now_us))
+            # co_transition would return a WAIT_DETECT port's or a quiet reading unchanged
+            if slot.state is CoPortState.CONFIRMING or run.hold_enabled and \
+                    slot.state is CoPortState.MONITOR and \
+                    not quiet_reading(co.machine, slot, power, offset_est, now):
+                self._run_co(co, PortPower(port, power, offset_est, time_us=now))
         co.ticking = ticking
-        nxt = self.now_us + self._monitor_tick_us
+        nxt = now + self._monitor_tick_us
         if ticking and nxt <= self.horizon_us:
             self._schedule(nxt, Sim._monitor_tick, co)
 

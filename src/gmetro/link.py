@@ -307,13 +307,16 @@ class FilterBank:
         self._centres = [entry[0] for entry in near]
         # the bisect window spans twice the widest reach: a superset
         self._window = 2.0 * max((entry[3] for entry in near), default=0.0)
+        self._last: tuple = (None, {})     # (f_thz, result) of the last near()
 
     def near(self, f_thz: float) -> dict[int, float]:
-        """{entry index: attenuation at f_thz} of the entries within reach."""
-        lo = bisect.bisect_left(self._centres, f_thz - self._window)
-        hi = bisect.bisect_right(self._centres, f_thz + self._window)
-        return {i: flt.attenuation_db(f_thz) for centre, i, flt, reach in self._near[lo:hi]
-                if abs(f_thz - centre) <= reach}
+        """{entry index: attenuation at f_thz} within reach; the dict is reused: read only."""
+        if self._last[0] != f_thz:
+            lo = bisect.bisect_left(self._centres, f_thz - self._window)
+            hi = bisect.bisect_right(self._centres, f_thz + self._window)
+            self._last = (f_thz, {i: flt.attenuation_db(f_thz) for centre, i, flt, reach
+                                  in self._near[lo:hi] if abs(f_thz - centre) <= reach})
+        return self._last[1]
 
 
 def path_gain(topo: Topology, frm: str, to: str, f_thz: float,

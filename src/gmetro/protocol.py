@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -266,6 +266,15 @@ def plan_sweep(band: FrequencyPlan, filter_b3_ghz: float, latency_worst_ms: floa
     )
 
 
+def _evolve(obj, **changes):
+    """``dataclasses.replace`` without calling ``__init__``: copy, then change."""
+    if not changes.keys() <= obj.__dict__.keys():
+        raise TypeError(f"no fields {sorted(changes.keys() - obj.__dict__.keys())}")
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
+
+
 # --------------------------------------------------------------------------
 # RU machine
 
@@ -304,7 +313,7 @@ class RuMachine:
 
 
 def _ru_start_direct(m: RuMachine, channel: int):
-    m2 = replace(m, state=RuState.DIRECT_TUNING, assigned_channel=channel,
+    m2 = _evolve(m, state=RuState.DIRECT_TUNING, assigned_channel=channel,
                  current_offset_est=0.0)
     actions = (SetKnobs(knobs=m.calibration.knobs_for(channel)),
                SetPower(m.full_power_dbm),
@@ -314,7 +323,7 @@ def _ru_start_direct(m: RuMachine, channel: int):
 
 def _ru_start_sweep(m: RuMachine, channel: int, power_dbm: float):
     plan = m.sweep_plan
-    m2 = replace(m, state=RuState.SWEEP, assigned_channel=channel,
+    m2 = _evolve(m, state=RuState.SWEEP, assigned_channel=channel,
                  sweep_index=0, sweep_power_dbm=power_dbm)
     return m2, (SetPower(power_dbm),
                 SetKnobs(frequency_thz=plan.frequency_thz(0)),
@@ -330,14 +339,14 @@ def _ru_assign_fresh(m: RuMachine, channel: int, rx_power_dbm: float):
     # the published CO launch power (up/down loss symmetry assumed)
     loss = estimate_link_loss(m.co_tx_power_dbm, rx_power_dbm)
     power = sweep_power(max(loss, 0.0), m, m.sweep_margin_db, m.max_tx_power_dbm)
-    m2 = replace(m, last_rx_power_dbm=rx_power_dbm)
+    m2 = _evolve(m, last_rx_power_dbm=rx_power_dbm)
     return _ru_start_sweep(m2, channel, power)
 
 
 def _ru_reassign_reachable(m: RuMachine, channel: int, rx_power_dbm: float):
     # upstream still works on the old channel: let the CO size the new sweep
     # power via the LOSS_REPORT / POWER_ADJ exchange
-    m2 = replace(m, state=RuState.AWAIT_ASSIGN, assigned_channel=channel,
+    m2 = _evolve(m, state=RuState.AWAIT_ASSIGN, assigned_channel=channel,
                  last_rx_power_dbm=rx_power_dbm)
     return m2, (Send(loss_report(rx_power_dbm)),)
 
@@ -364,13 +373,13 @@ def _ru_msg(m: RuMachine, ev: MsgReceived):
                 raise InvalidEvent(m.state, ev)
             return _ru_start_sweep(m, m.assigned_channel, power)
         if m.state is RuState.SWEEP:
-            return replace(m, sweep_power_dbm=power), (SetPower(power),)
+            return _evolve(m, sweep_power_dbm=power), (SetPower(power),)
         return m, ()
 
     if kind is MsgType.SWEEP_DETECTED:
         channel = decode_channel(ev.frame.payload)
         if m.state is RuState.SWEEP:
-            return replace(m, state=RuState.FINE_TUNE, assigned_channel=channel,
+            return _evolve(m, state=RuState.FINE_TUNE, assigned_channel=channel,
                            fine_rounds=0), ()
         return m, ()
 
@@ -380,18 +389,18 @@ def _ru_msg(m: RuMachine, ev: MsgReceived):
             actions = (SetKnobs(step_ghz=step),) if step else ()
             rounds = m.fine_rounds + 1
             if abs(step) <= m.lock_step_threshold_ghz and rounds >= m.min_fine_rounds:
-                m2 = replace(m, state=RuState.LOCKED, fine_rounds=rounds,
+                m2 = _evolve(m, state=RuState.LOCKED, fine_rounds=rounds,
                              current_offset_est=-step)
                 actions += (SetPower(m.full_power_dbm),
                             Send(lock_confirm(m.assigned_channel)))
                 if m.last_rx_power_dbm is not None:
                     actions += (Send(loss_report(m.last_rx_power_dbm)),)
                 return m2, actions
-            return replace(m, fine_rounds=rounds), actions
+            return _evolve(m, fine_rounds=rounds), actions
         if m.state in (RuState.LOCKED, RuState.HOLD):
             if step == 0.0:
                 return m, ()
-            return replace(m, state=RuState.HOLD, current_offset_est=-step), \
+            return _evolve(m, state=RuState.HOLD, current_offset_est=-step), \
                 (SetKnobs(step_ghz=step),)
         return m, ()
 
@@ -402,7 +411,7 @@ def _ru_timer(m: RuMachine, ev: TimerExpired):
     if ev.tag == "settle":
         if m.state is not RuState.DIRECT_TUNING:
             return m, ()
-        m2 = replace(m, state=RuState.LOCKED, current_offset_est=0.0)
+        m2 = _evolve(m, state=RuState.LOCKED, current_offset_est=0.0)
         if m.role is Role.PRIMARY:
             return m2, ()  # nobody upstream to confirm to
         return m2, (Send(lock_confirm(m.assigned_channel)),)
@@ -413,20 +422,20 @@ def _ru_timer(m: RuMachine, ev: TimerExpired):
         plan = m.sweep_plan
         index = m.sweep_index + 1
         if index >= SWEEP_LAP_LIMIT * plan.n_points:
-            return replace(m, sweep_index=index), (RaiseAlarm("sweep exhausted with no feedback"),)
+            return _evolve(m, sweep_index=index), (RaiseAlarm("sweep exhausted with no feedback"),)
         actions = (SetKnobs(frequency_thz=plan.frequency_thz(index)),
                    Send(hello()),
                    ArmTimer("dwell", plan.dwell_us))
         if index % plan.n_points == 0:
             actions = (RaiseAlarm("sweep wrapped without detection"),) + actions
-        return replace(m, sweep_index=index), actions
+        return _evolve(m, sweep_index=index), actions
 
     if ev.tag == "hello":
         if m.state is not RuState.FINE_TUNE:
             return m, ()
         if m.hello_retries >= m.hello_retry_limit:
             return m, (RaiseAlarm("no response to re-announcement"),)
-        return replace(m, hello_retries=m.hello_retries + 1), \
+        return _evolve(m, hello_retries=m.hello_retries + 1), \
             (Send(hello()), ArmTimer("hello", m.hello_period_us))
 
     return m, ()
@@ -439,9 +448,9 @@ def _ru_drift_tick(m: RuMachine):
                      m.hold_saturation_ghz)
     if step == 0.0:
         if m.state is RuState.HOLD:
-            return replace(m, state=RuState.LOCKED), ()
+            return _evolve(m, state=RuState.LOCKED), ()
         return m, ()
-    return replace(m, state=RuState.HOLD,
+    return _evolve(m, state=RuState.HOLD,
                    current_offset_est=m.current_offset_est + step), \
         (SetKnobs(step_ghz=step),)
 
@@ -450,7 +459,7 @@ def _ru_link_down(m: RuMachine):
     if m.state in (RuState.LOCKED, RuState.HOLD, RuState.FINE_TUNE):
         # already tuned; re-announce so whichever CO now terminates the path
         # can confirm us
-        m2 = replace(m, state=RuState.FINE_TUNE, fine_rounds=0, hello_retries=0)
+        m2 = _evolve(m, state=RuState.FINE_TUNE, fine_rounds=0, hello_retries=0)
         return m2, (Send(hello()), ArmTimer("hello", m.hello_period_us))
     return m, ()
 
@@ -464,7 +473,7 @@ def ru_transition(m: RuMachine, event):
             if not m.calibrated_for(event.nms_channel):
                 raise InvalidEvent(m.state, event)
             return _ru_start_direct(m, event.nms_channel)
-        return replace(m, state=RuState.AWAIT_ASSIGN), ()
+        return _evolve(m, state=RuState.AWAIT_ASSIGN), ()
     if m.state is RuState.INIT:
         raise InvalidEvent(m.state, event)
     if isinstance(event, MsgReceived):
@@ -517,8 +526,8 @@ class CoMachine:
 
 def _co_with_slot(m: CoMachine, port: int, **changes) -> CoMachine:
     slots = dict(m.ports)
-    slots[port] = replace(m.slot(port), **changes)
-    return replace(m, ports=slots)
+    slots[port] = _evolve(m.slot(port), **changes)
+    return _evolve(m, ports=slots)
 
 
 def _co_assign_frame(m: CoMachine, channel: int) -> MgmtFrame:
@@ -567,6 +576,16 @@ def _co_msg(m: CoMachine, ev: MsgReceived):
     return m, ()
 
 
+def quiet_reading(m: CoMachine, slot: PortSlot, power_dbm: float,
+                  offset_est_ghz: float | None, time_us: int) -> bool:
+    """A MONITOR reading that changes nothing: signal up, no loss-of-signal count
+    to clear, estimate in the deadband or a correction under a period old."""
+    return slot.state is CoPortState.MONITOR and not slot.below_sens_ticks \
+        and power_dbm >= m.rx_sensitivity_dbm and offset_est_ghz is not None \
+        and (abs(offset_est_ghz) <= m.deadband_ghz or slot.last_correct_us is not None
+             and time_us - slot.last_correct_us < m.monitor_period_us)
+
+
 def _co_port_power(m: CoMachine, ev: PortPower):
     slot = m.slot(ev.port)
 
@@ -581,6 +600,8 @@ def _co_port_power(m: CoMachine, ev: PortPower):
         return m, (Send(hold_correct(step), port=ev.port),)
 
     if slot.state is CoPortState.MONITOR:
+        if quiet_reading(m, slot, ev.power_dbm, ev.offset_est_ghz, ev.time_us):
+            return m, ()
         if ev.power_dbm < m.rx_sensitivity_dbm:
             ticks = slot.below_sens_ticks + 1
             if ticks >= m.los_debounce_ticks:
@@ -648,9 +669,9 @@ def simulate_hold_loop(duration_s: float = 86_400.0, step_s: float = 1.0,
                        seeds=range(20), enabled: bool = True) -> np.ndarray:
     """Max |frequency offset| per seed over a drift + correction run.
 
-    Mirrors the engine's loop: drift random walk each step, a noisy offset
-    estimate at the CO, a quantized correction per hold_step.  With
-    ``enabled=False`` the corrections are skipped (ablation)."""
+    A simpler loop than the engine's, which samples a MONITOR port at 10 Hz:
+    per ``step_s``, a drift step, one noisy CO offset estimate and one quantized
+    hold_step correction.  ``enabled=False`` skips the corrections (ablation)."""
     drift = drift or DriftModel()
     n_steps = int(round(duration_s / step_s))
     seeds = list(seeds)

@@ -1,3 +1,4 @@
+import collections
 import heapq
 import math
 import pathlib
@@ -26,6 +27,7 @@ from gmetro.engine import (
 from gmetro.link import FrequencyPlan
 from gmetro.protocol import (
     CoPortState, LinkDown, PortPower, PortSlot, RuState, SetPower, TimerExpired, co_transition,
+    quiet_reading,
 )
 from gmetro.scenario import parse_scenario
 
@@ -433,7 +435,7 @@ def test_settled_count_matches_a_scan_after_every_event(name):
     assert len(counts) > 1
 
 
-def victim_levels_run(name):
+def named_sim(name):
     if name == "horseshoe6_ber":
         from test_golden import horseshoe6_ber
         return Sim(horseshoe6_ber())
@@ -443,7 +445,7 @@ def victim_levels_run(name):
 @pytest.mark.parametrize("name", HAND_RUN + ["horseshoe6_ber"])
 def test_kept_victim_levels_equal_a_rebuild_after_every_event(name):
     # a kept set of levels is used only on the plant it was built on
-    sim = victim_levels_run(name)
+    sim = named_sim(name)
     seen = []
     for _ in events_by_hand(sim):
         plant = sim.topology.plant
@@ -580,6 +582,34 @@ def test_wait_detect_ports_are_sampled_but_not_passed_to_the_machine(monkeypatch
     sim.run()
     assert CoPortState.WAIT_DETECT in sampled
     assert passed == {CoPortState.CONFIRMING, CoPortState.MONITOR}
+
+
+@pytest.mark.parametrize("name", ["horseshoe_protection", "horseshoe6_ber"])
+def test_quiet_readings_are_sampled_but_not_passed_to_the_machine(monkeypatch, name):
+    sim = named_sim(name)
+    sampled, passed, quiet = collections.Counter(), collections.Counter(), []
+    port_gain = sim._port_gain
+
+    def sample(co, port, *args):
+        sampled[co.machine.slot(port).state] += 1
+        return port_gain(co, port, *args)
+
+    def transition(m, event):
+        if isinstance(event, PortPower):
+            slot = m.slot(event.port)
+            passed[slot.state] += 1
+            if quiet_reading(m, slot, event.power_dbm, event.offset_est_ghz, event.time_us):
+                quiet.append(event)
+        return co_transition(m, event)
+
+    sim._port_gain = sample
+    monkeypatch.setattr(engine, "co_transition", transition)
+    sim.run()
+    assert quiet == []
+    # MONITOR readings that can act still reach the machine, and the rest,
+    # most of them, stop before it
+    assert 0 < passed[CoPortState.MONITOR] < sampled[CoPortState.MONITOR] / 2
+    assert passed[CoPortState.CONFIRMING] == sampled[CoPortState.CONFIRMING] > 0
 
 
 def test_idle_port_and_port_without_ru_stop_being_sampled():

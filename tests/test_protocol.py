@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmetro.codec import MgmtChannelConfig, MsgType
 from gmetro.lasers import MemsVcselModel, calibrate
@@ -364,6 +367,38 @@ def test_co_monitor_los_debounce_returns_to_wait_detect():
     assert isinstance(actions[0], RaiseAlarm)
 
 
+CO_DEFAULTS = CoMachine()
+SENSITIVITY = CO_DEFAULTS.rx_sensitivity_dbm
+PERIOD = CO_DEFAULTS.monitor_period_us
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(state=st.sampled_from(CoPortState) | st.just(CoPortState.MONITOR),
+       below=st.integers(0, 3),
+       since=st.none() | st.integers(0, 2 * PERIOD)
+       | st.sampled_from([PERIOD - 1, PERIOD, PERIOD + 1]),
+       est=st.none() | st.integers(-40, 40).map(lambda k: k / 10.0)
+       | st.sampled_from([-1.1, -1.0, 1.0, 1.1]),
+       power=st.sampled_from([-math.inf, SENSITIVITY - 0.1, SENSITIVITY, SENSITIVITY + 0.1])
+       | st.floats(SENSITIVITY - 5.0, SENSITIVITY + 5.0))
+def test_quiet_reading_leaves_the_machine_unchanged(state, below, since, est, power):
+    now = 5 * PERIOD
+    slot = PortSlot(state=state, channel=5, below_sens_ticks=below,
+                    last_correct_us=None if since is None else now - since)
+    m = CoMachine(ports={5: slot})
+    m2, actions = co_transition(m, PortPower(5, power, est, time_us=now))
+    if proto.quiet_reading(m, slot, power, est, now):
+        assert m2 is m and actions == ()
+    if state is CoPortState.MONITOR and power >= SENSITIVITY:
+        # a reading at or above sensitivity ends a loss-of-signal count, and
+        # one outside the deadband corrects once a monitor period has passed
+        assert m2.slot(5).below_sens_ticks == 0
+        if est is not None and abs(est) > m.deadband_ghz and (since is None or since >= PERIOD):
+            step = round(max(-2.0, min(2.0, -0.5 * est)) * 10.0) / 10.0
+            assert actions == (Send(proto.hold_correct(step), port=5),)
+            assert m2.slot(5).last_correct_us == now
+
+
 def test_co_assign_fast_retries_then_slow_reoffer():
     cfg = CoMachine()
     m = co_with_port()
@@ -482,3 +517,49 @@ def test_hold_loop_deterministic():
     a = simulate_hold_loop(duration_s=600.0, seeds=[1, 2])
     b = simulate_hold_loop(duration_s=600.0, seeds=[1, 2])
     assert np.array_equal(a, b)
+
+
+# --------------------------------------------------------------------------
+# machine copies
+
+EVOLVE_CASES = [
+    (make_ru(RuState.SWEEP), dict(
+        state=RuState.HOLD, role=Role.PRIMARY, calibration=TABLE, sweep_plan=None,
+        assigned_channel=9, current_offset_est=0.3, sweep_index=4, last_rx_power_dbm=-21.0,
+        sweep_power_dbm=-30.0, full_power_dbm=1.0, fine_rounds=2, hello_retries=3,
+        settle_us=5, deadband_ghz=0.5, hold_gain=0.25, hold_saturation_ghz=1.0,
+        lock_step_threshold_ghz=0.1, min_fine_rounds=4, hello_period_us=7,
+        hello_retry_limit=2, co_tx_power_dbm=1.0, sweep_margin_db=2.0,
+        max_tx_power_dbm=2.0, rx_sensitivity_dbm=-35.0)),
+    (co_with_port(CoPortState.MONITOR), dict(
+        ports={}, pairwise=True, tx_power_dbm=1.0, rx_sensitivity_dbm=-35.0,
+        sweep_margin_db=2.0, max_tx_power_dbm=2.0, deadband_ghz=0.5, hold_gain=0.25,
+        hold_saturation_ghz=1.0, monitor_period_us=7, assign_resend_period_us=8,
+        assign_resend_limit=2, reoffer_period_us=9, los_debounce_ticks=4)),
+    (PortSlot(CoPortState.MONITOR, channel=5, last_correct_us=10), dict(
+        state=CoPortState.CONFIRMING, channel=6, reported_rx_dbm=-20.0,
+        last_correct_us=None, assign_resends=2, below_sens_ticks=1)),
+]
+
+
+def hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("obj,changes", EVOLVE_CASES, ids=lambda case: type(case).__name__)
+def test_machine_copies_equal_dataclasses_replace(obj, changes):
+    assert changes.keys() == {f.name for f in dataclasses.fields(obj)}
+    before = dataclasses.replace(obj)
+    for change in [{name: value} for name, value in changes.items()] + [changes]:
+        got, want = proto._evolve(obj, **change), dataclasses.replace(obj, **change)
+        assert type(got) is type(want)
+        assert got == want and got != obj, change
+        assert hash_or_error(got) == hash_or_error(want)
+        assert obj == before
+    with pytest.raises(TypeError):
+        dataclasses.replace(obj, no_such_field=1)
+    with pytest.raises(TypeError):
+        proto._evolve(obj, no_such_field=1)
