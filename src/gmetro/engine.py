@@ -16,10 +16,17 @@ classes + victim COs), not O(RUs): at a CO's demux only the ports near the
 frequency are computed, and every other port is exactly its floor (see the
 comment above the checks).
 
+A frame goes between two endpoints: an RU, and an ``Association``, the
+management channel of one CO port to the RU on that port's channel.  Each
+endpoint keeps the reliable frames it sent that await an ACK, and the last
+seq it accepted per (sender, type).  An association also holds its port's
+slot of the per-port CO machine, which gets back the timers it arms, and is
+made at the first NMS assignment or frame on its port.
+
 Port monitoring is one heap entry per CO per tick, which samples the CO's
-ports in assignment order.  Every port is sampled and draws its noise, but
-the CO machine gets no reading it would return unchanged: none of a
-WAIT_DETECT port, which waits for a decoded HELLO, and no quiet MONITOR
+associations in assignment order.  Every port is sampled and draws its
+noise, but the CO machine gets no reading it would return unchanged: none
+of a WAIT_DETECT port, which waits for a decoded HELLO, and no quiet MONITOR
 reading (``protocol.quiet_reading``).  A tuner's laser emission is cached
 until the engine changes that laser (knobs, power or drift), and each
 port's path gain until the plant or the frequency changes.
@@ -30,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -46,9 +54,9 @@ from .lasers import (
 from .link import FrequencyPlan, NoPath, Topology
 from .protocol import (
     ArmTimer, CoMachine, CoPortState, DriftTick, LinkDown, MsgReceived,
-    NmsAssign, PortPower, PowerOn, RaiseAlarm, Role, RuMachine, RuState,
-    Send, SetKnobs, SetPower, TimerExpired, co_transition, plan_sweep,
-    quiet_reading, ru_transition,
+    NmsAssign, PortPower, PortSlot, PowerOn, RaiseAlarm, Role, RuMachine,
+    RuState, Send, SetKnobs, SetPower, TimerExpired, co_transition,
+    plan_sweep, quiet_reading, ru_transition,
 )
 
 PROPAGATION_US_PER_KM = 5.0
@@ -213,6 +221,12 @@ def validate(scenario: Scenario) -> Topology:
     names = [r.name for r in scenario.rus]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate RU names")
+    # one RU per channel: a CO port's association has one RU at its far end
+    seen = set()
+    for r in scenario.rus:
+        if r.channel in seen:
+            raise ValidationError(f"channel {r.channel} assigned twice")
+        seen.add(r.channel)
     expected_cos = 2 if scenario.topo.kind == "horseshoe" else 1
     if len(scenario.cos) != expected_cos:
         raise ValidationError(
@@ -377,8 +391,10 @@ class RuEntity:
     power_on_us: int = 0
     powered: bool = False
     pending_relock_since_us: int | None = None
-    seq: int = 0
+    seq: Iterator[int] = field(default_factory=itertools.count)   # wire seqs, taken mod 16
     emission: EmissionState | None = None       # see Sim._emission
+    pending: dict[tuple[MsgType, int], PendingAck] = field(default_factory=dict)
+    accepted: dict[tuple[str, MsgType], int] = field(default_factory=dict)
 
     settled_states: ClassVar[tuple[RuState, ...]] = SETTLED
 
@@ -404,25 +420,43 @@ class CoEntity:
     rng_meas: np.random.Generator
     rng_channel: np.random.Generator
     tx: PrimaryTx | None = None
-    seq: int = 0
-    # monitored ports in assignment order; the CO's tick chain runs while
-    # this is non-empty, up to the horizon
-    ticking: list[int] = field(default_factory=list)
-    # port -> (plant, frequency, gain or None), see Sim._port_gain
-    gains: dict[int, tuple] = field(default_factory=dict)
-    # port -> (plant, frequency, power) of its last send that passed the
-    # downstream isolation check
-    isolated: dict[int, tuple] = field(default_factory=dict)
+    seq: Iterator[int] = field(default_factory=itertools.count)   # shared by its ports
+    ports: dict[int, Association] = field(default_factory=dict)
+    # monitored associations in assignment order; the CO's tick chain runs
+    # while this is non-empty, up to the horizon
+    ticking: list[Association] = field(default_factory=list)
     # prefetched standard normals of rng_meas, see Sim._meas_normal
     meas_z: Iterator[float] = field(default_factory=lambda: iter(()))
+
+    def association(self, port: int) -> Association:
+        """The association on ``port``, made at its first use."""
+        assoc = self.ports.get(port)
+        if assoc is None:
+            assoc = self.ports[port] = Association(self, port, f"{self.name}.p{port}", self.seq)
+        return assoc
+
+
+@dataclass(eq=False)
+class Association:
+    """The management channel of one CO port and the RU on its channel."""
+    co: CoEntity = field(repr=False)
+    port: int
+    name: str                                   # trace entity "<co>.p<port>"
+    seq: Iterator[int]                          # the CO's, shared by its ports
+    slot: PortSlot = PortSlot()
+    # (plant, frequency, gain or None), see Sim._port_gain
+    gain: tuple | None = None
+    # (plant, frequency, power) of its last send that passed the downstream
+    # isolation check
+    isolated: tuple | None = None
+    pending: dict[tuple[MsgType, int], PendingAck] = field(default_factory=dict)
+    accepted: dict[tuple[str, MsgType], int] = field(default_factory=dict)
 
 
 @dataclass
 class PendingAck:
-    """A reliable frame on the air, kept for retransmission until acked."""
-    sender: RuEntity | CoEntity
+    """A reliable frame on the air, kept by its sender until acked."""
     frame: MgmtFrame
-    port: int
     retries: int = 0
 
 
@@ -466,8 +500,6 @@ class Sim:
         # functions, not bound methods, so no entry refers back to the Sim.
         self._heap: list = []
         self._seq = 0
-        self._pending_acks: dict[tuple, PendingAck] = {}  # (sender, type, seq)
-        self._last_accepted: dict = {}  # (receiver, sender, type) -> seq
         # tuners (RUs and primary transmitters) in one of their settled
         # states; _run_tuner keeps it, as the only place states change
         self._settled = 0
@@ -566,55 +598,51 @@ class Sim:
         bits = codec.packed_frame_bits(len(frame.payload))
         return int(round(bits / self.mgmt.bit_rate * 1e6))
 
-    def _send(self, sender: RuEntity | CoEntity, frame: MgmtFrame,
-              port: int | None = None, retry: int | None = None):
-        """Put a frame on the air from an RU, or from a CO's ``port``.
+    def _send(self, sender: RuEntity | Association, frame: MgmtFrame,
+              retry: int | None = None):
+        """Put a frame on the air from an RU or an association.
 
         A first transmission (``retry`` None) is traced SEND, anything else
         RETRY: ``retry`` is then the wire seq a link-layer retransmission
         reuses, or NEW_SEQ for a resend under the sender's next seq."""
         if retry is None or retry == NEW_SEQ:
-            seq = sender.seq
-            sender.seq = (seq + 1) % 16
+            seq = next(sender.seq) % 16
         else:
             seq = retry
         frame = MgmtFrame(frame.msg_type, seq, frame.payload)
         self.metrics.frames_sent += 1
-        if isinstance(sender, RuEntity):
-            label, port, tuner = sender.name, sender.channel, sender
-        else:
-            label, tuner = f"{sender.name}.p{port}", sender.tx
+        tuner = sender if isinstance(sender, RuEntity) else sender.co.tx
         if tuner is None:   # a managed CO's fixed-grid port transmitter
-            f_thz, power = self.plan.center_thz(port), self.scenario.mgmt.tx_power_dbm
+            f_thz, power = self.plan.center_thz(sender.port), self.scenario.mgmt.tx_power_dbm
         else:
             state = self._emission(tuner)
             f_thz, power = state.frequency_thz, state.power_dbm
-        self.trace.add(self.now_us, label, "SEND" if retry is None else "RETRY",
+        self.trace.add(self.now_us, sender.name, "SEND" if retry is None else "RETRY",
                        f"type={frame.msg_type.name} seq={frame.seq} "
                        f"f={f_thz:.6f}THz p={power:.1f}dBm")
         try:
-            receiver, path = self._route(sender, port)
+            receiver, path = self._route(sender)
         except link.LinkError:
-            self._lost(label, frame, LOST_NO_PATH)
+            self._lost(sender.name, frame, LOST_NO_PATH)
             return
-        self._check_send(sender, receiver, port, f_thz, power)
+        self._check_send(sender, receiver, f_thz, power)
         arrival = self.now_us + self._airtime_us(frame) + \
             int(round(path.length_km * PROPAGATION_US_PER_KM))
-        self._arm_retry(sender, frame, port)
-        self._schedule(arrival, Sim._deliver, receiver, sender, frame, f_thz, power, port)
+        self._arm_retry(sender, frame)
+        self._schedule(arrival, Sim._deliver, receiver, sender, frame, f_thz, power)
 
-    def _route(self, sender: RuEntity | CoEntity, port: int):
+    def _route(self, sender: RuEntity | Association):
         """(receiver, compiled path) of a frame; raises link.LinkError if there
         is none.  An RU transmits toward its active side only (directional add)."""
         plant = self.topology.plant
         if isinstance(sender, RuEntity):
             path = plant.active_path(sender.name)
-            return self.cos[path.co], path
-        ru = self.rus[self.topology.ru_for_channel(port)]
-        return ru, plant.path_to_co(ru.name, sender.name)
+            return self.cos[path.co].association(sender.channel), path
+        ru = self.rus[self.topology.ru_for_channel(sender.port)]
+        return ru, plant.path_to_co(ru.name, sender.co.name)
 
-    def _check_send(self, sender: RuEntity | CoEntity, receiver, port: int,
-                    f_thz: float, power: float):
+    def _check_send(self, sender: RuEntity | Association, receiver, f_thz: float,
+                    power: float):
         if isinstance(sender, RuEntity):
             # the crosstalk rule governs reduced-power sweep transmissions; a
             # locked RU re-announcing at full power on its own channel is
@@ -623,90 +651,90 @@ class Sim:
                     power < sender.machine.full_power_dbm - 1e-9:
                 self._check_sweep_crosstalk(sender, f_thz, power)
             if self.scenario.run.safety_checks:
-                self._check_upstream_isolation(sender, f_thz, power, receiver.name)
+                self._check_upstream_isolation(sender, f_thz, power, receiver.co.name)
         elif self.scenario.run.safety_checks:
-            self._check_downstream_isolation(sender, port, f_thz, power)
+            self._check_downstream_isolation(sender, f_thz, power)
 
-    def _arm_retry(self, sender: RuEntity | CoEntity, frame: MgmtFrame, port: int):
+    def _arm_retry(self, sender: RuEntity | Association, frame: MgmtFrame):
         if frame.msg_type not in RELIABLE_TYPES:
             return
-        key = (sender.name, frame.msg_type, frame.seq)
-        if key not in self._pending_acks:
-            self._pending_acks[key] = PendingAck(sender, frame, port)
-        self._schedule(self.now_us + 4 * self._airtime_us(frame), Sim._rexmit, key)
+        key = (frame.msg_type, frame.seq)
+        if key not in sender.pending:
+            sender.pending[key] = PendingAck(frame)
+        self._schedule(self.now_us + 4 * self._airtime_us(frame), Sim._rexmit, sender, key)
 
-    def _rexmit(self, key: tuple[str, MsgType, int]):
-        pending = self._pending_acks.get(key)
+    def _rexmit(self, sender: RuEntity | Association, key: tuple[MsgType, int]):
+        pending = sender.pending.get(key)
         if pending is None:
             return
         if pending.retries >= self.scenario.mgmt.retry_limit:
-            del self._pending_acks[key]
-            self.trace.add(self.now_us, key[0], "SEND_FAIL",
-                           f"type={key[1].name} seq={key[2]} retries={pending.retries}")
+            del sender.pending[key]
+            # a CO traces it under its own name, not its port's
+            node = sender.name if isinstance(sender, RuEntity) else sender.co.name
+            self.trace.add(self.now_us, node, "SEND_FAIL",
+                           f"type={key[0].name} seq={key[1]} retries={pending.retries}")
             return
         pending.retries += 1
         self.metrics.retransmissions += 1
-        self._send(pending.sender, pending.frame, pending.port, retry=key[2])
+        self._send(sender, pending.frame, retry=key[1])
 
     # ---------------------------------------------------------------- arrival
 
-    def _deliver(self, receiver: RuEntity | CoEntity, sender: RuEntity | CoEntity,
-                 frame: MgmtFrame, f_thz: float, tx_power: float, port: int):
-        upstream = isinstance(receiver, CoEntity)
-        label = f"{receiver.name}.p{port}" if upstream else receiver.name
+    def _deliver(self, receiver: RuEntity | Association, sender: RuEntity | Association,
+                 frame: MgmtFrame, f_thz: float, tx_power: float):
+        upstream = isinstance(receiver, Association)
         if not upstream and not receiver.powered:
-            self._lost(label, frame, "RX_OFF")
+            self._lost(receiver.name, frame, "RX_OFF")
             return
         # gain is evaluated at arrival: light in flight dies with a cut span
-        ru, co = (sender, receiver) if upstream else (receiver, sender)
+        ru, assoc = (sender, receiver) if upstream else (receiver, sender)
         plant = self.topology.plant
         try:
-            gain = plant.gain_db(plant.path_to_co(ru.name, co.name), f_thz, port)
+            gain = plant.gain_db(plant.path_to_co(ru.name, assoc.co.name), f_thz, assoc.port)
         except NoPath:
-            self._lost(label, frame, LOST_NO_PATH)
+            self._lost(receiver.name, frame, LOST_NO_PATH)
             return
         rx_power = tx_power + gain
         if rx_power < self.mgmt.rx_sensitivity_dbm:
-            self._lost(label, frame, LOST_BELOW_SENSITIVITY, f"rx={rx_power:.1f}dBm")
+            self._lost(receiver.name, frame, LOST_BELOW_SENSITIVITY, f"rx={rx_power:.1f}dBm")
             return
+        rng = assoc.co.rng_channel if upstream else ru.rng_channel
         if self.ber == 0:
             # the channel draw of apply_bit_errors, which flips nothing here
-            receiver.rng_channel.random(codec.packed_frame_bits(len(frame.payload)))
+            rng.random(codec.packed_frame_bits(len(frame.payload)))
             decoded, corrected = frame, 0
         else:
-            noisy = codec.apply_bit_errors(codec.frame_pack(frame), self.ber,
-                                           receiver.rng_channel)
+            noisy = codec.apply_bit_errors(codec.frame_pack(frame), self.ber, rng)
             try:
                 decoded, stats = codec.frame_unpack(noisy)
             except (codec.SyncNotFound, codec.FecFailure, codec.CrcMismatch) as err:
-                self._lost(label, frame, DECODE_LOSS[type(err)])
+                self._lost(receiver.name, frame, DECODE_LOSS[type(err)])
                 return
             corrected = stats.corrected
         self.metrics.frames_delivered += 1
         self.metrics.blocks_corrected += corrected
-        self.trace.add(self.now_us, label, "DELIVER",
+        self.trace.add(self.now_us, receiver.name, "DELIVER",
                        f"type={decoded.msg_type.name} seq={decoded.seq} "
                        f"rx={rx_power:.1f}dBm corrected={corrected}")
 
         if decoded.msg_type is MsgType.ACK:
             acked_type = MsgType(decoded.payload[0] >> 4)
             acked_seq = decoded.payload[0] & 0x0F
-            self._pending_acks.pop((receiver.name, acked_type, acked_seq), None)
+            receiver.pending.pop((acked_type, acked_seq), None)
             return
         if decoded.msg_type is MsgType.NAK:
             return
 
-        dedup_key = (receiver.name, sender.name, decoded.msg_type)
-        duplicate = self._last_accepted.get(dedup_key) == decoded.seq
+        dedup_key = (sender.name, decoded.msg_type)
+        duplicate = receiver.accepted.get(dedup_key) == decoded.seq
         if decoded.msg_type in RELIABLE_TYPES:
             ack = bytes([(int(decoded.msg_type) << 4) | decoded.seq])
-            self._send(receiver, MgmtFrame(MsgType.ACK, payload=ack), port)
+            self._send(receiver, MgmtFrame(MsgType.ACK, payload=ack))
         if duplicate:
             return
-        self._last_accepted[dedup_key] = decoded.seq
+        receiver.accepted[dedup_key] = decoded.seq
 
-        event = MsgReceived(decoded, rx_power_dbm=rx_power, time_us=self.now_us,
-                            port=port if upstream else None)
+        event = MsgReceived(decoded, rx_power_dbm=rx_power, time_us=self.now_us)
         if upstream:
             self._run_co(receiver, event)
         else:
@@ -780,26 +808,29 @@ class Sim:
             raise SafetyViolation(
                 f"{tuner.name} locked {off:.2f} GHz from its port centre")
 
-    def _run_co(self, co: CoEntity, event):
-        co.machine, actions = co_transition(co.machine, event)
+    def _run_co(self, assoc: Association, event):
+        """Drive the CO machine on one port."""
+        assoc.slot, actions = co_transition(assoc.co.machine, assoc.slot, event)
         # a CO timer only ever resends an unanswered channel assignment
         retry = NEW_SEQ if isinstance(event, TimerExpired) else None
         for action in actions:
             if isinstance(action, Send):
-                self._send(co, action.frame, action.port, retry)
+                self._send(assoc, action.frame, retry)
             elif isinstance(action, ArmTimer):
                 at = self.now_us + action.delay_us
-                self._schedule(at, Sim._run_co, co, TimerExpired(action.tag, time_us=at))
+                self._schedule(at, Sim._run_co, assoc, TimerExpired(action.tag, time_us=at))
             elif isinstance(action, RaiseAlarm):
-                self.trace.add(self.now_us, co.name, "ALARM", action.reason)
+                self.trace.add(self.now_us, assoc.co.name, "ALARM",
+                               f"{action.reason} on port {assoc.port}")
 
     def _assign_port(self, co: CoEntity, port: int, channel: int):
-        self._run_co(co, NmsAssign(port, channel))
+        assoc = co.association(port)
+        self._run_co(assoc, NmsAssign(channel))
         # A managed CO's ports are all assigned at the NMS time and a primary
         # has one port, so a port never joins a running chain at another phase.
         if not co.ticking:
             self._schedule(self.now_us + self._monitor_tick_us, Sim._monitor_tick, co)
-        co.ticking.append(port)
+        co.ticking.append(assoc)
 
     @staticmethod
     def _emission(tuner: RuEntity | PrimaryTx) -> EmissionState:
@@ -822,7 +853,7 @@ class Sim:
     # all of it.  Crosstalk victims are sorted by level within a class, and
     # rounded subtraction is monotone, so the lowest level gives the class's
     # smallest margin.  A downstream check depends only on the plant, port,
-    # frequency and power, so its passes are kept per port.  Results,
+    # frequency and power, so its passes are kept per association.  Results,
     # messages and metrics equal per-victim path_gain calls bit for bit, and
     # a violation names the lowest RU index, as a loop in RU order would.
 
@@ -908,11 +939,11 @@ class Sim:
             raise SafetyViolation(
                 f"frames of {ru.name} decodable on foreign port {self._ru_list[min(hits)].channel}")
 
-    def _check_downstream_isolation(self, co: CoEntity, port: int, f_thz: float,
-                                    power: float):
+    def _check_downstream_isolation(self, assoc: Association, f_thz: float, power: float):
         plant = self.topology.plant
-        if co.isolated.get(port) == (plant, f_thz, power):
+        if assoc.isolated == (plant, f_thz, power):
             return
+        co, port = assoc.co, assoc.port
         port_filter = plant.port_filters.get((co.name, port))
         port_att = None if port_filter is None else port_filter.attenuation_db(f_thz)
         sensitivity = self.mgmt.rx_sensitivity_dbm
@@ -928,7 +959,7 @@ class Sim:
             if power + -loss >= sensitivity:
                 raise SafetyViolation(
                     f"port {port} frames decodable at {other.name}")
-        co.isolated[port] = (plant, f_thz, power)
+        assoc.isolated = (plant, f_thz, power)
 
     # ---------------------------------------------------------------- events
 
@@ -954,14 +985,14 @@ class Sim:
         ru_by_channel, center_thz = self.topology.plant.ru_by_channel, self.plan.center_thz
         emission, port_gain, meas_normal = self._emission, self._port_gain, self._meas_normal
         ticking = []
-        for port in co.ticking:
-            slot = co.machine.slot(port)
+        for assoc in co.ticking:
+            slot, port = assoc.slot, assoc.port
             ru_name = ru_by_channel.get(port)
             if slot.state is CoPortState.IDLE or ru_name is None:
                 continue
-            ticking.append(port)
+            ticking.append(assoc)
             state = emission(rus[ru_name])
-            gain = port_gain(co, port, ru_name, state.frequency_thz)
+            gain = port_gain(assoc, ru_name, state.frequency_thz)
             power = -math.inf if gain is None else state.power_dbm + gain
             noise = run.measurement_noise_ghz
             if slot.state is CoPortState.CONFIRMING:
@@ -975,27 +1006,26 @@ class Sim:
             if slot.state is CoPortState.CONFIRMING or run.hold_enabled and \
                     slot.state is CoPortState.MONITOR and \
                     not quiet_reading(co.machine, slot, power, offset_est, now):
-                self._run_co(co, PortPower(port, power, offset_est, time_us=now))
+                self._run_co(assoc, PortPower(power, offset_est, time_us=now))
         co.ticking = ticking
         nxt = now + self._monitor_tick_us
         if ticking and nxt <= self.horizon_us:
             self._schedule(nxt, Sim._monitor_tick, co)
 
-    def _port_gain(self, co: CoEntity, port: int, ru_name: str,
-                   f_thz: float) -> float | None:
-        """Gain from the RU on ``port`` into that port of ``co``; None when the
-        RU transmits toward no CO or the other one (directional add).  Kept
-        per port until the plant or the frequency changes."""
+    def _port_gain(self, assoc: Association, ru_name: str, f_thz: float) -> float | None:
+        """Gain from the RU ``ru_name`` into the association's port; None when
+        the RU transmits toward no CO or the other one (directional add).
+        Kept on the association until the plant or the frequency changes."""
         plant = self.topology.plant
-        memo = co.gains.get(port)
+        memo = assoc.gain
         if memo is not None and memo[0] is plant and memo[1] == f_thz:
             return memo[2]
         try:
             path = plant.active_path(ru_name)
-            gain = plant.gain_db(path, f_thz, port) if path.co == co.name else None
+            gain = plant.gain_db(path, f_thz, assoc.port) if path.co == assoc.co.name else None
         except NoPath:
             gain = None
-        co.gains[port] = (plant, f_thz, gain)
+        assoc.gain = (plant, f_thz, gain)
         return gain
 
     @staticmethod

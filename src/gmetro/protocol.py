@@ -1,11 +1,13 @@
 """Tuning-protocol state machines and control laws.
 
-Pure transition functions: ``ru_transition`` / ``co_transition`` take a
-frozen machine plus an event and return a new machine with a tuple of
-actions; nothing is executed inline and no randomness is consumed, so the
-same (state, event) always yields the byte-identical result.  The engine
-owns timers, frame transport (including ACK/retry) and all measurement
-noise.
+Pure transition functions: ``ru_transition`` takes a frozen RU machine plus
+an event and returns a new machine with a tuple of actions; the CO machine
+runs per port, so ``co_transition`` takes the CO's constants, one port's
+frozen slot and an event, and returns the new slot with its actions.
+Nothing is executed inline and no randomness is consumed, so the same
+(state, event) always yields the byte-identical result.  The engine owns
+timers, frame transport (including ACK/retry) and all measurement noise,
+and routes a port's events and actions to and from that port.
 
 Full transition tables are documented in docs/transition_tables.md.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -76,7 +78,6 @@ class MsgReceived:
     frame: MgmtFrame
     rx_power_dbm: float
     time_us: int = 0
-    port: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,11 @@ class LinkDown:
 
 @dataclass(frozen=True)
 class NmsAssign:
-    port: int
     channel: int
 
 
 @dataclass(frozen=True)
 class PortPower:
-    port: int
     power_dbm: float
     offset_est_ghz: float | None
     time_us: int = 0
@@ -127,7 +126,6 @@ class SetPower:
 @dataclass(frozen=True)
 class Send:
     frame: MgmtFrame
-    port: int | None = None
 
 
 @dataclass(frozen=True)
@@ -488,7 +486,7 @@ def ru_transition(m: RuMachine, event):
 
 
 # --------------------------------------------------------------------------
-# CO machine
+# CO machine (one slot per port)
 
 @dataclass(frozen=True)
 class PortSlot:
@@ -500,12 +498,9 @@ class PortSlot:
     below_sens_ticks: int = 0
 
 
-_IDLE_SLOT = PortSlot()  # frozen, so every unassigned port can share it
-
-
 @dataclass(frozen=True)
 class CoMachine:
-    ports: dict[int, PortSlot] = field(default_factory=dict)
+    """The constants every port of one CO shares."""
     pairwise: bool = False
     tx_power_dbm: float = 0.0
     rx_sensitivity_dbm: float = -40.0
@@ -520,15 +515,6 @@ class CoMachine:
     reoffer_period_us: int = 1_000_000  # slow poll while the port stays dark
     los_debounce_ticks: int = 3
 
-    def slot(self, port: int) -> PortSlot:
-        return self.ports.get(port, _IDLE_SLOT)
-
-
-def _co_with_slot(m: CoMachine, port: int, **changes) -> CoMachine:
-    slots = dict(m.ports)
-    slots[port] = _evolve(m.slot(port), **changes)
-    return _evolve(m, ports=slots)
-
 
 def _co_assign_frame(m: CoMachine, channel: int) -> MgmtFrame:
     return chan_assign(channel) if m.pairwise else tune_req(channel)
@@ -539,41 +525,28 @@ def _quantized_step(offset_est_ghz, deadband_ghz, gain, saturation_ghz) -> float
     return round(step * 10.0) / 10.0  # wire format carries 0.1 GHz units
 
 
-def _co_msg(m: CoMachine, ev: MsgReceived):
-    if ev.port is None:
-        raise InvalidEvent("CO", ev)
-    slot = m.slot(ev.port)
+def _co_msg(m: CoMachine, slot: PortSlot, ev: MsgReceived):
     kind = ev.frame.msg_type
 
-    if kind is MsgType.HELLO:
-        if slot.state in (CoPortState.WAIT_DETECT, CoPortState.CONFIRMING,
-                          CoPortState.MONITOR):
-            if ev.rx_power_dbm < m.rx_sensitivity_dbm:
-                return m, ()
-            m2 = _co_with_slot(m, ev.port, state=CoPortState.CONFIRMING,
-                               below_sens_ticks=0)
-            return m2, (Send(sweep_detected(slot.channel), port=ev.port),)
-        return m, ()
+    if kind is MsgType.HELLO and slot.state is not CoPortState.IDLE \
+            and ev.rx_power_dbm >= m.rx_sensitivity_dbm:
+        slot2 = _evolve(slot, state=CoPortState.CONFIRMING, below_sens_ticks=0)
+        return slot2, (Send(sweep_detected(slot.channel)),)
 
     if kind is MsgType.LOSS_REPORT:
         reported = decode_tenths(ev.frame.payload)
         if slot.state is CoPortState.WAIT_DETECT:
             loss = estimate_link_loss(m.tx_power_dbm, reported)
             power = sweep_power(max(loss, 0.0), m, m.sweep_margin_db, m.max_tx_power_dbm)
-            m2 = _co_with_slot(m, ev.port, reported_rx_dbm=reported)
-            return m2, (Send(power_adj(power), port=ev.port),)
+            return _evolve(slot, reported_rx_dbm=reported), (Send(power_adj(power)),)
         if slot.state in (CoPortState.CONFIRMING, CoPortState.MONITOR):
-            return _co_with_slot(m, ev.port, reported_rx_dbm=reported), ()
-        return m, ()
+            return _evolve(slot, reported_rx_dbm=reported), ()
+        return slot, ()
 
-    if kind is MsgType.LOCK_CONFIRM:
-        if slot.state in (CoPortState.WAIT_DETECT, CoPortState.CONFIRMING,
-                          CoPortState.MONITOR):
-            return _co_with_slot(m, ev.port, state=CoPortState.MONITOR,
-                                 below_sens_ticks=0), ()
-        return m, ()
+    if kind is MsgType.LOCK_CONFIRM and slot.state is not CoPortState.IDLE:
+        return _evolve(slot, state=CoPortState.MONITOR, below_sens_ticks=0), ()
 
-    return m, ()
+    return slot, ()
 
 
 def quiet_reading(m: CoMachine, slot: PortSlot, power_dbm: float,
@@ -586,75 +559,67 @@ def quiet_reading(m: CoMachine, slot: PortSlot, power_dbm: float,
              and time_us - slot.last_correct_us < m.monitor_period_us)
 
 
-def _co_port_power(m: CoMachine, ev: PortPower):
-    slot = m.slot(ev.port)
-
+def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
     if slot.state is CoPortState.CONFIRMING:
         if ev.power_dbm < m.rx_sensitivity_dbm or ev.offset_est_ghz is None:
-            return m, ()
+            return slot, ()
         # no deadband while confirming: drive the RU onto the port centre,
         # a (near-)zero step doubles as the "you are centred" signal
-        step = round(max(-m.hold_saturation_ghz,
-                         min(m.hold_saturation_ghz,
-                             -m.hold_gain * ev.offset_est_ghz)) * 10.0) / 10.0
-        return m, (Send(hold_correct(step), port=ev.port),)
+        step = _quantized_step(ev.offset_est_ghz, 0.0, m.hold_gain, m.hold_saturation_ghz)
+        return slot, (Send(hold_correct(step)),)
 
     if slot.state is CoPortState.MONITOR:
         if quiet_reading(m, slot, ev.power_dbm, ev.offset_est_ghz, ev.time_us):
-            return m, ()
+            return slot, ()
         if ev.power_dbm < m.rx_sensitivity_dbm:
             ticks = slot.below_sens_ticks + 1
             if ticks >= m.los_debounce_ticks:
-                m2 = _co_with_slot(m, ev.port, state=CoPortState.WAIT_DETECT,
-                                   below_sens_ticks=0, assign_resends=0)
-                return m2, (RaiseAlarm(f"loss of signal on port {ev.port}"),)
-            return _co_with_slot(m, ev.port, below_sens_ticks=ticks), ()
-        m2 = _co_with_slot(m, ev.port, below_sens_ticks=0) \
-            if slot.below_sens_ticks else m
+                slot2 = _evolve(slot, state=CoPortState.WAIT_DETECT,
+                                below_sens_ticks=0, assign_resends=0)
+                return slot2, (RaiseAlarm("loss of signal"),)
+            return _evolve(slot, below_sens_ticks=ticks), ()
+        slot2 = _evolve(slot, below_sens_ticks=0) if slot.below_sens_ticks else slot
         if ev.offset_est_ghz is None:
-            return m2, ()
+            return slot2, ()
         due = slot.last_correct_us is None or \
             ev.time_us - slot.last_correct_us >= m.monitor_period_us
         if not due:
-            return m2, ()
+            return slot2, ()
         step = _quantized_step(ev.offset_est_ghz, m.deadband_ghz, m.hold_gain,
                                m.hold_saturation_ghz)
         if step == 0.0:
-            return m2, ()
-        m2 = _co_with_slot(m2, ev.port, last_correct_us=ev.time_us)
-        return m2, (Send(hold_correct(step), port=ev.port),)
+            return slot2, ()
+        return _evolve(slot2, last_correct_us=ev.time_us), (Send(hold_correct(step)),)
 
-    return m, ()  # IDLE and WAIT_DETECT need a decoded HELLO, not raw power
+    return slot, ()  # IDLE and WAIT_DETECT need a decoded HELLO, not raw power
 
 
-def co_transition(m: CoMachine, event):
-    """Pure CO transition: (machine, event) -> (machine', actions)."""
+def _co_timer(m: CoMachine, slot: PortSlot, ev: TimerExpired):
+    if ev.tag != "assign" or slot.state is not CoPortState.WAIT_DETECT:
+        return slot, ()
+    if slot.assign_resends < m.assign_resend_limit:
+        slot2 = _evolve(slot, assign_resends=slot.assign_resends + 1)
+        period = m.assign_resend_period_us
+    else:
+        slot2 = slot  # fast retries exhausted: keep polling slowly
+        period = m.reoffer_period_us
+    return slot2, (Send(_co_assign_frame(m, slot.channel)), ArmTimer("assign", period))
+
+
+def co_transition(m: CoMachine, slot: PortSlot, event):
+    """Pure transition of one CO port: (CO constants, slot, event) -> (slot',
+    actions).  The engine sends each Send on the port and routes each timer
+    back to it."""
     if isinstance(event, NmsAssign):
-        m2 = _co_with_slot(m, event.port, state=CoPortState.WAIT_DETECT,
-                           channel=event.channel, assign_resends=0,
-                           reported_rx_dbm=None, below_sens_ticks=0,
-                           last_correct_us=None)
-        return m2, (Send(_co_assign_frame(m, event.channel), port=event.port),
-                    ArmTimer(f"assign:{event.port}", m.assign_resend_period_us))
+        return PortSlot(CoPortState.WAIT_DETECT, channel=event.channel), \
+            (Send(_co_assign_frame(m, event.channel)),
+             ArmTimer("assign", m.assign_resend_period_us))
     if isinstance(event, MsgReceived):
-        return _co_msg(m, event)
+        return _co_msg(m, slot, event)
     if isinstance(event, PortPower):
-        return _co_port_power(m, event)
+        return _co_port_power(m, slot, event)
     if isinstance(event, TimerExpired):
-        if event.tag.startswith("assign:"):
-            port = int(event.tag.split(":", 1)[1])
-            slot = m.slot(port)
-            if slot.state is not CoPortState.WAIT_DETECT:
-                return m, ()
-            if slot.assign_resends < m.assign_resend_limit:
-                m2 = _co_with_slot(m, port, assign_resends=slot.assign_resends + 1)
-                period = m.assign_resend_period_us
-            else:
-                m2 = m  # fast retries exhausted: keep polling slowly
-                period = m.reoffer_period_us
-            return m2, (Send(_co_assign_frame(m, slot.channel), port=port),
-                        ArmTimer(event.tag, period))
-        return m, ()
+        return _co_timer(m, slot, event)
     raise InvalidEvent("CO", event)
 
 

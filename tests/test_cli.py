@@ -1,12 +1,18 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gmetro import codec
 from gmetro.cli import main
-from gmetro.engine import CoSpec, RuSpec
+from gmetro.engine import (
+    CoSpec, FaultSpec, MgmtSpec, RunSpec, RuSpec, Scenario, TopoSpec, ValidationError, validate,
+)
+from gmetro.link import FrequencyPlan
 from gmetro.scenario import ScenarioError, parse_scenario, render_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,6 +83,13 @@ def test_parse_cross_ref_error_for_bad_channel():
     assert err.value.issues[0].code == "CROSS_REF_ERROR"
 
 
+def test_parse_cross_ref_error_for_duplicate_channel():
+    bad = MINIMAL + "\n[ru.ru1]\nchannel = 0\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(bad)
+    assert str(err.value) == "line 0: CROSS_REF_ERROR: channel 0 assigned twice"
+
+
 def test_parse_cross_ref_error_for_unknown_fault_span():
     bad = MINIMAL + "\n[faults]\nevent = cut nosuch at_ms=100.0\n"
     with pytest.raises(ScenarioError) as err:
@@ -96,6 +109,53 @@ def test_render_parse_roundtrip():
     for name in ("tree16_sweep.gms", "horseshoe_protection.gms", "pairwise.gms"):
         sc = parse_scenario((SCENARIOS / name).read_text())
         assert parse_scenario(render_scenario(sc)) == sc
+
+
+LASERS = st.sampled_from(["mems", "dbr", "vernier"])
+KM = st.floats(0.0, 30.0)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A scenario that validates: any topology kind or a pairwise link, 1-6
+    RUs on distinct channels, a BER, and faults on the topology's spans."""
+    kind = draw(st.sampled_from(["tree", "drop_line", "horseshoe", "pairwise"]))
+    plan = FrequencyPlan(channel_count=draw(st.integers(1, 24)),
+                         spacing_ghz=draw(st.sampled_from([50.0, 100.0])))
+    channels = draw(st.lists(st.integers(0, plan.channel_count - 1), min_size=1,
+                             max_size=1 if kind == "pairwise" else 6, unique=True))
+    rus = tuple(RuSpec(f"ru{i}", ch, laser=draw(LASERS), calibrated=draw(st.booleans()),
+                       start_ms=draw(st.floats(0.0, 1000.0)))
+                for i, ch in enumerate(channels))
+    if kind == "pairwise":
+        kind, cos = "tree", (CoSpec("head", role="primary", laser=draw(LASERS),
+                                    nms_channel=channels[0]),)
+    else:
+        cos = (CoSpec("co_w"), CoSpec("co_e")) if kind == "horseshoe" else (CoSpec("co0"),)
+    topo = TopoSpec(kind=kind, trunk_km=draw(KM), segment_km=draw(KM), drop_km=draw(KM),
+                    filter_bandwidth_ghz=draw(st.floats(10.0, 100.0)))
+    run = RunSpec(seed=draw(st.integers(0, 2**31)), horizon_ms=draw(st.floats(1.0, 1e6)),
+                  stop=draw(st.sampled_from(["all_locked", "time"])),
+                  allow_unreachable=draw(st.booleans()))
+    sc = Scenario(plan=plan, topo=topo, rus=rus, cos=cos, run=run,
+                  mgmt=MgmtSpec(ber=draw(st.floats(0.0, 1.0))))
+    try:
+        spans = [s.name for s in validate(sc).spans]
+    except ValidationError:     # a laser that cannot reach its channel
+        assume(False)
+    at_ms = st.floats(0.0, run.horizon_ms)
+    faults = draw(st.lists(
+        st.builds(FaultSpec, st.sampled_from(["cut", "restore"]), at_ms,
+                  span=st.sampled_from(spans))
+        | st.builds(FaultSpec, st.just("ber"), at_ms, ber=st.floats(0.0, 1.0)),
+        max_size=4))
+    return dataclasses.replace(sc, faults=tuple(faults))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(valid_scenarios())
+def test_render_parse_roundtrip_of_random_scenarios(sc):
+    assert parse_scenario(render_scenario(sc)) == sc
 
 
 def test_shipped_scenarios_parse():

@@ -56,8 +56,8 @@ def make_ru(state, *, calibrated=False, assigned=5, role=Role.DEPENDENT):
                      assigned_channel=None if state is RuState.INIT else assigned)
 
 
-def msg(frame, rx=-20.0, port=None, t=0):
-    return MsgReceived(frame, rx_power_dbm=rx, time_us=t, port=port)
+def msg(frame, rx=-20.0, t=0):
+    return MsgReceived(frame, rx_power_dbm=rx, time_us=t)
 
 
 # --------------------------------------------------------------------------
@@ -273,97 +273,99 @@ def test_ru_invalid_events():
 # --------------------------------------------------------------------------
 # CO transitions
 
-def co_with_port(state=CoPortState.WAIT_DETECT, port=5, channel=5, **kw):
+def co_with_port(state=CoPortState.WAIT_DETECT, channel=5, **kw):
+    """A CO's constants and one port's slot in ``state``."""
     m = CoMachine(**kw)
-    m, _ = co_transition(m, NmsAssign(port, channel))
+    slot, _ = co_transition(m, PortSlot(), NmsAssign(channel))
     if state is CoPortState.CONFIRMING:
-        m, _ = co_transition(m, msg(proto.hello(), rx=-30.0, port=port))
+        slot, _ = co_transition(m, slot, msg(proto.hello(), rx=-30.0))
     elif state is CoPortState.MONITOR:
-        m, _ = co_transition(m, msg(proto.lock_confirm(channel), rx=-30.0, port=port))
-    assert m.slot(port).state is state
-    return m
+        slot, _ = co_transition(m, slot, msg(proto.lock_confirm(channel), rx=-30.0))
+    assert slot.state is state
+    return m, slot
 
 
 def test_co_nms_assign_sends_tune_req():
-    m, actions = co_transition(CoMachine(), NmsAssign(5, 5))
-    assert m.slot(5).state is CoPortState.WAIT_DETECT
+    slot, actions = co_transition(CoMachine(), PortSlot(), NmsAssign(5))
+    assert slot.state is CoPortState.WAIT_DETECT
     assert actions[0].frame.msg_type is MsgType.TUNE_REQ
-    assert actions[0].port == 5
+    assert proto.decode_channel(actions[0].frame.payload) == 5
     assert isinstance(actions[1], ArmTimer)
 
 
 def test_co_pairwise_assign_sends_chan_assign():
-    m, actions = co_transition(CoMachine(pairwise=True), NmsAssign(0, 7))
+    slot, actions = co_transition(CoMachine(pairwise=True), PortSlot(), NmsAssign(7))
     assert actions[0].frame.msg_type is MsgType.CHAN_ASSIGN
 
 
 def test_co_hello_above_sensitivity_triggers_detect():
     # (WAIT_DETECT, MSG(HELLO) at -39 dBm >= -40) -> SEND(SWEEP_DETECTED)
-    m = co_with_port()
-    m2, actions = co_transition(m, msg(proto.hello(), rx=-39.0, port=5))
-    assert m2.slot(5).state is CoPortState.CONFIRMING
+    m, slot = co_with_port()
+    slot2, actions = co_transition(m, slot, msg(proto.hello(), rx=-39.0))
+    assert slot2.state is CoPortState.CONFIRMING
     assert actions[0].frame.msg_type is MsgType.SWEEP_DETECTED
     assert proto.decode_channel(actions[0].frame.payload) == 5
 
 
 def test_co_hello_below_sensitivity_ignored():
-    m = co_with_port()
-    m2, actions = co_transition(m, msg(proto.hello(), rx=-45.0, port=5))
-    assert m2.slot(5).state is CoPortState.WAIT_DETECT
+    m, slot = co_with_port()
+    slot2, actions = co_transition(m, slot, msg(proto.hello(), rx=-45.0))
+    assert slot2.state is CoPortState.WAIT_DETECT
     assert actions == ()
 
 
 def test_co_port_power_without_decode_is_not_detection():
-    m = co_with_port()
-    m2, actions = co_transition(m, PortPower(5, -45.0, None, 0))
-    assert m2.slot(5).state is CoPortState.WAIT_DETECT
+    m, slot = co_with_port()
+    slot2, actions = co_transition(m, slot, PortPower(-45.0, None, 0))
+    assert slot2.state is CoPortState.WAIT_DETECT
     assert actions == ()
 
 
 def test_co_loss_report_answers_with_power_adj():
-    m = co_with_port(tx_power_dbm=0.0)
-    m2, actions = co_transition(m, msg(proto.loss_report(-20.0), rx=-20.0, port=5))
+    m, slot = co_with_port(tx_power_dbm=0.0)
+    slot2, actions = co_transition(m, slot, msg(proto.loss_report(-20.0), rx=-20.0))
     assert actions[0].frame.msg_type is MsgType.POWER_ADJ
     assert decode_tenths(actions[0].frame.payload) == pytest.approx(-17.0)
-    assert m2.slot(5).reported_rx_dbm == pytest.approx(-20.0)
+    assert slot2.reported_rx_dbm == pytest.approx(-20.0)
 
 
 def test_co_confirming_sends_corrections_every_tick():
-    m = co_with_port(CoPortState.CONFIRMING)
-    _, actions = co_transition(m, PortPower(5, -35.0, offset_est_ghz=-12.5, time_us=100))
+    m, slot = co_with_port(CoPortState.CONFIRMING)
+    _, actions = co_transition(m, slot, PortPower(-35.0, offset_est_ghz=-12.5, time_us=100))
     assert actions[0].frame.msg_type is MsgType.HOLD_CORRECT
     assert decode_tenths(actions[0].frame.payload) == pytest.approx(2.0)  # saturated
 
 
 def test_co_lock_confirm_moves_to_monitor():
-    m = co_with_port(CoPortState.CONFIRMING)
-    m2, _ = co_transition(m, msg(proto.lock_confirm(5), rx=-30.0, port=5))
-    assert m2.slot(5).state is CoPortState.MONITOR
+    m, slot = co_with_port(CoPortState.CONFIRMING)
+    slot2, _ = co_transition(m, slot, msg(proto.lock_confirm(5), rx=-30.0))
+    assert slot2.state is CoPortState.MONITOR
 
 
 def test_co_monitor_corrects_beyond_deadband_once_per_period():
-    m = co_with_port(CoPortState.MONITOR)
-    m2, actions = co_transition(m, PortPower(5, -30.0, offset_est_ghz=3.0, time_us=10**6))
+    m, slot = co_with_port(CoPortState.MONITOR)
+    slot2, actions = co_transition(m, slot, PortPower(-30.0, offset_est_ghz=3.0, time_us=10**6))
     assert actions[0].frame.msg_type is MsgType.HOLD_CORRECT
     assert decode_tenths(actions[0].frame.payload) == pytest.approx(-1.5)
     # a second estimate within the same period is not acted upon
-    _, actions2 = co_transition(m2, PortPower(5, -30.0, offset_est_ghz=3.0, time_us=10**6 + 100_000))
+    _, actions2 = co_transition(m, slot2, PortPower(-30.0, offset_est_ghz=3.0,
+                                                    time_us=10**6 + 100_000))
     assert actions2 == ()
 
 
 def test_co_monitor_inside_deadband_stays_quiet():
-    m = co_with_port(CoPortState.MONITOR)
-    _, actions = co_transition(m, PortPower(5, -30.0, offset_est_ghz=0.4, time_us=10**6))
+    m, slot = co_with_port(CoPortState.MONITOR)
+    _, actions = co_transition(m, slot, PortPower(-30.0, offset_est_ghz=0.4, time_us=10**6))
     assert actions == ()
 
 
 def test_co_monitor_los_debounce_returns_to_wait_detect():
-    m = co_with_port(CoPortState.MONITOR)
+    m, slot = co_with_port(CoPortState.MONITOR)
     for i in range(2):
-        m, actions = co_transition(m, PortPower(5, -60.0, None, time_us=i))
+        slot, actions = co_transition(m, slot, PortPower(-60.0, None, time_us=i))
         assert actions == ()
-    m, actions = co_transition(m, PortPower(5, -60.0, None, time_us=3))
-    assert m.slot(5).state is CoPortState.WAIT_DETECT
+    slot, actions = co_transition(m, slot, PortPower(-60.0, None, time_us=3))
+    assert slot.state is CoPortState.WAIT_DETECT
     assert isinstance(actions[0], RaiseAlarm)
 
 
@@ -385,50 +387,33 @@ def test_quiet_reading_leaves_the_machine_unchanged(state, below, since, est, po
     now = 5 * PERIOD
     slot = PortSlot(state=state, channel=5, below_sens_ticks=below,
                     last_correct_us=None if since is None else now - since)
-    m = CoMachine(ports={5: slot})
-    m2, actions = co_transition(m, PortPower(5, power, est, time_us=now))
+    m = CO_DEFAULTS
+    slot2, actions = co_transition(m, slot, PortPower(power, est, time_us=now))
     if proto.quiet_reading(m, slot, power, est, now):
-        assert m2 is m and actions == ()
+        assert slot2 is slot and actions == ()
     if state is CoPortState.MONITOR and power >= SENSITIVITY:
         # a reading at or above sensitivity ends a loss-of-signal count, and
         # one outside the deadband corrects once a monitor period has passed
-        assert m2.slot(5).below_sens_ticks == 0
+        assert slot2.below_sens_ticks == 0
         if est is not None and abs(est) > m.deadband_ghz and (since is None or since >= PERIOD):
             step = round(max(-2.0, min(2.0, -0.5 * est)) * 10.0) / 10.0
-            assert actions == (Send(proto.hold_correct(step), port=5),)
-            assert m2.slot(5).last_correct_us == now
+            assert actions == (Send(proto.hold_correct(step)),)
+            assert slot2.last_correct_us == now
 
 
 def test_co_assign_fast_retries_then_slow_reoffer():
-    cfg = CoMachine()
-    m = co_with_port()
-    for i in range(cfg.assign_resend_limit):
-        m, actions = co_transition(m, TimerExpired("assign:5"))
+    m, slot = co_with_port()
+    for i in range(m.assign_resend_limit):
+        slot, actions = co_transition(m, slot, TimerExpired("assign"))
         assert actions[0].frame.msg_type is MsgType.TUNE_REQ
-        assert actions[1].delay_us == cfg.assign_resend_period_us
-    m, actions = co_transition(m, TimerExpired("assign:5"))
+        assert actions[1] == ArmTimer("assign", m.assign_resend_period_us)
+    slot, actions = co_transition(m, slot, TimerExpired("assign"))
     assert actions[0].frame.msg_type is MsgType.TUNE_REQ
-    assert actions[1].delay_us == cfg.reoffer_period_us
+    assert actions[1] == ArmTimer("assign", m.reoffer_period_us)
     # a detected port stops re-offering
-    m2 = co_with_port(CoPortState.MONITOR, port=6, channel=6)
-    _, actions = co_transition(m2, TimerExpired("assign:6"))
+    m2, slot2 = co_with_port(CoPortState.MONITOR, channel=6)
+    _, actions = co_transition(m2, slot2, TimerExpired("assign"))
     assert actions == ()
-
-
-def test_co_unassigned_ports_share_an_idle_slot_that_stays_idle():
-    idle = CoMachine().slot(3)
-    assert idle == PortSlot()
-    assert CoMachine().slot(7) is idle
-    for port, pairwise in ((3, False), (4, True)):
-        m = CoMachine(pairwise=pairwise)
-        for event in (NmsAssign(port, port), msg(proto.hello(), rx=-30.0, port=port),
-                      PortPower(port, -30.0, 3.0, 10**6), TimerExpired(f"assign:{port}"),
-                      msg(proto.lock_confirm(port), rx=-30.0, port=port),
-                      PortPower(port, -60.0, None, 2 * 10**6)):
-            m, _ = co_transition(m, event)
-        assert m.slot(port).state is CoPortState.MONITOR
-        assert m.slot(port + 1) is idle
-    assert idle == PortSlot()
 
 
 # --------------------------------------------------------------------------
@@ -465,20 +450,20 @@ def test_ru_transition_total_over_legal_events(state, calibrated):
 @pytest.mark.parametrize("state", list(CoPortState))
 def test_co_transition_total_over_legal_events(state):
     menu = [
-        msg(proto.hello(), rx=-30.0, port=5),
-        msg(proto.loss_report(-20.0), rx=-30.0, port=5),
-        msg(proto.lock_confirm(5), rx=-30.0, port=5),
-        msg(proto.hold_correct(0.5), rx=-30.0, port=5),
-        PortPower(5, -30.0, 2.0, 10**6),
-        PortPower(5, -60.0, None, 10**6),
-        TimerExpired("assign:5"),
+        msg(proto.hello(), rx=-30.0),
+        msg(proto.loss_report(-20.0), rx=-30.0),
+        msg(proto.lock_confirm(5), rx=-30.0),
+        msg(proto.hold_correct(0.5), rx=-30.0),
+        PortPower(-30.0, 2.0, 10**6),
+        PortPower(-60.0, None, 10**6),
+        TimerExpired("assign"),
         TimerExpired("unknown"),
-        NmsAssign(5, 5),
+        NmsAssign(5),
     ]
     for event in menu:
-        m = CoMachine() if state is CoPortState.IDLE else co_with_port(state)
-        m2, actions = co_transition(m, event)
-        assert isinstance(m2, CoMachine)
+        m, slot = (CoMachine(), PortSlot()) if state is CoPortState.IDLE else co_with_port(state)
+        slot2, actions = co_transition(m, slot, event)
+        assert isinstance(slot2, PortSlot)
         assert isinstance(actions, tuple)
 
 
@@ -493,10 +478,10 @@ def test_transitions_are_pure_and_reproducible():
         b = ru_transition(m, ev)
         assert a == b
         assert repr(a) == repr(b)
-    co = co_with_port(CoPortState.MONITOR)
-    ev = PortPower(5, -30.0, 3.0, 10**6)
-    assert co_transition(co, ev) == co_transition(co, ev)
-    assert repr(co_transition(co, ev)) == repr(co_transition(co, ev))
+    co, slot = co_with_port(CoPortState.MONITOR)
+    ev = PortPower(-30.0, 3.0, 10**6)
+    assert co_transition(co, slot, ev) == co_transition(co, slot, ev)
+    assert repr(co_transition(co, slot, ev)) == repr(co_transition(co, slot, ev))
 
 
 # --------------------------------------------------------------------------
@@ -531,8 +516,8 @@ EVOLVE_CASES = [
         lock_step_threshold_ghz=0.1, min_fine_rounds=4, hello_period_us=7,
         hello_retry_limit=2, co_tx_power_dbm=1.0, sweep_margin_db=2.0,
         max_tx_power_dbm=2.0, rx_sensitivity_dbm=-35.0)),
-    (co_with_port(CoPortState.MONITOR), dict(
-        ports={}, pairwise=True, tx_power_dbm=1.0, rx_sensitivity_dbm=-35.0,
+    (CoMachine(), dict(
+        pairwise=True, tx_power_dbm=1.0, rx_sensitivity_dbm=-35.0,
         sweep_margin_db=2.0, max_tx_power_dbm=2.0, deadband_ghz=0.5, hold_gain=0.25,
         hold_saturation_ghz=1.0, monitor_period_us=7, assign_resend_period_us=8,
         assign_resend_limit=2, reoffer_period_us=9, los_debounce_ticks=4)),
