@@ -45,9 +45,13 @@ def _effective_seed(args, scenario):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GMETRO_SEED")
-    if env is not None:
+    if env is None:
+        return scenario.run.seed
+    try:
         return int(env)
-    return scenario.run.seed
+    except ValueError:
+        print("error: GMETRO_SEED must be an integer", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
 
 
 def _with_seed(scenario, seed):
@@ -141,7 +145,11 @@ def cmd_codec_stats(args) -> int:
     print(f"analytic_interval_h={analytic / 3600.0:.3f}")
     if args.bits:
         rng = np.random.default_rng(args.mc_seed)
-        mc = codec.simulate_message_loss_interval(args.ber, args.bits, rng)
+        try:
+            mc = codec.simulate_message_loss_interval(args.ber, args.bits, rng)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INVALID
         print(f"monte_carlo_interval_s={mc:.6e}")
         if math.isfinite(mc):
             print(f"relative_error={abs(mc - analytic) / analytic:.4f}")

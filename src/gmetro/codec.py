@@ -21,9 +21,6 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-LO = 0
-HI = 1
-
 SYNC_WORD = 0x2B7E
 SYNC_BITS = 16
 MAX_PAYLOAD = 16
@@ -78,24 +75,14 @@ class StreamTooShort(CodecError):
 @dataclass(frozen=True)
 class MgmtChannelConfig:
     """Overhead-channel parameters; the receiver sensitivity sits ~10 dB
-    below the data channel's."""
+    below the data channel's (-30 dBm)."""
 
     bit_rate: float = 50_000.0
-    baud_rate: float = 0.0  # 0 -> derived as 2 * bit_rate
-    spectral_band_low_hz: float = 10_000.0
-    spectral_band_high_hz: float = 90_000.0
     rx_sensitivity_dbm: float = -40.0
-    data_rx_sensitivity_dbm: float = -30.0
 
     def __post_init__(self):
         if self.bit_rate <= 0:
             raise ValueError("bit_rate must be positive")
-        if self.baud_rate == 0.0:
-            object.__setattr__(self, "baud_rate", 2.0 * self.bit_rate)
-        if self.baud_rate != 2.0 * self.bit_rate:
-            raise ValueError("baud_rate must equal 2 * bit_rate")
-        if not self.spectral_band_low_hz < self.spectral_band_high_hz:
-            raise ValueError("spectral band must be ordered low < high")
 
 
 class MsgType(IntEnum):
@@ -227,28 +214,6 @@ def _decode_int(word: int) -> tuple[int, FecStatus]:
     if flip is None:  # unreachable for (15,11): all 15 syndromes are columns
         return word >> 4, FecStatus.UNCORRECTABLE
     return (word ^ flip) >> 4, FecStatus.CORRECTED
-
-
-def hamming_encode(data) -> np.ndarray:
-    """Encode 11 data bits into a systematic 15-bit codeword."""
-    data = np.asarray(data, dtype=np.uint8)
-    if data.shape != (BLOCK_DATA_BITS,):
-        raise ValueError(f"expected {BLOCK_DATA_BITS} data bits, got shape {data.shape}")
-    return bits_from_int(_ENCODE_TABLE[int_from_bits(data)], BLOCK_CODE_BITS)
-
-
-def hamming_decode(word) -> tuple[np.ndarray, FecStatus]:
-    """Syndrome-decode a 15-bit word; single errors come back CORRECTED."""
-    word = np.asarray(word, dtype=np.uint8)
-    if word.shape != (BLOCK_CODE_BITS,):
-        raise ValueError(f"expected {BLOCK_CODE_BITS} bits, got shape {word.shape}")
-    data, status = _decode_int(int_from_bits(word))
-    return bits_from_int(data, BLOCK_DATA_BITS), status
-
-
-def parity_check_matrix() -> np.ndarray:
-    """H as a 4x15 0/1 matrix (row k = parity check k)."""
-    return np.array([[s >> k & 1 for s in _COLUMN_SYNDROMES] for k in range(4)], dtype=np.uint8)
 
 
 # --------------------------------------------------------------------------

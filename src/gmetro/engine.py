@@ -41,7 +41,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -280,15 +280,6 @@ def validate(scenario: Scenario) -> Topology:
     return topo
 
 
-def inject_fault(scenario: Scenario, at_us: int, kind: str,
-                 span: str | None = None, ber: float | None = None) -> Scenario:
-    """Return a scenario with the fault appended to its schedule."""
-    fault = FaultSpec(kind=kind, at_ms=at_us / 1000.0, span=span, ber=ber)
-    out = replace(scenario, faults=scenario.faults + (fault,))
-    validate(out)
-    return out
-
-
 # --------------------------------------------------------------------------
 # trace and metrics
 
@@ -313,9 +304,6 @@ class Trace:
 
     def render(self) -> str:
         return "".join(trace_emit(r) + "\n" for r in self.records)
-
-    def lines(self) -> list[str]:
-        return [trace_emit(r) for r in self.records]
 
     def count(self, kind: str) -> int:
         return sum(1 for r in self.records if r.kind == kind)
@@ -1117,28 +1105,3 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
     """Validate and execute a scenario."""
     return Sim(scenario).run()
 
-
-class PairwiseTimeout(EngineError):
-    pass
-
-
-def pairwise_self_tune(nms_channel: int, dependent_calibrated: bool = False,
-                       primary_laser: str = "vernier", dependent_laser: str = "mems",
-                       ber: float = 0.0, seed: int = 1,
-                       horizon_ms: float = 30_000.0) -> tuple[Trace, Metrics]:
-    """Run a primary/dependent link: the primary tunes itself from the NMS
-    input, conveys the channel over the management channel, the dependent
-    tunes to the paired wavelength.  The returned trace is the transcript;
-    raises PairwiseTimeout if either side fails to lock within the bound."""
-    scenario = Scenario(
-        rus=(RuSpec("dependent", nms_channel, laser=dependent_laser,
-                    calibrated=dependent_calibrated),),
-        cos=(CoSpec("primary", role="primary", laser=primary_laser,
-                    nms_channel=nms_channel),),
-        mgmt=MgmtSpec(ber=ber),
-        run=RunSpec(seed=seed, horizon_ms=horizon_ms),
-    )
-    try:
-        return run(scenario)
-    except DeadlockError as err:
-        raise PairwiseTimeout(str(err))

@@ -35,10 +35,6 @@ class OutOfRange(LaserError):
     pass
 
 
-class KnobDimensionMismatch(LaserError):
-    pass
-
-
 class ChannelUnreachable(LaserError):
     def __init__(self, channel: int, residual_ghz: float):
         super().__init__(f"channel {channel} unreachable, residual {residual_ghz:.2f} GHz")
@@ -186,12 +182,6 @@ class ThermalDbrModel:
         t = self.grating_temp_k if temp_k is None else temp_k
         return self.bragg_wavelength_ref_nm + self.dlambda_dt_nm_per_k * (t - self.t_ref_k)
 
-    def heater_power_mw_for_shift(self, shift_nm: float) -> float:
-        return shift_nm / self.tuning_efficiency_nm_per_mw
-
-    def temp_for_heater_power(self, power_mw: float) -> float:
-        return self.t_ref_k + self.tuning_efficiency_nm_per_mw * power_mw / self.dlambda_dt_nm_per_k
-
     def emission(self) -> EmissionState:
         lo, hi = self.temp_range_k
         if not lo <= self.grating_temp_k <= hi:
@@ -330,19 +320,6 @@ class VernierModel:
         self.comb_offset_back_ghz = (self.comb_offset_back_ghz + delta_ghz) % self.fsr_back_ghz
 
 
-LaserModel = MemsVcselModel | ThermalDbrModel | VernierModel
-
-
-def apply_tuning(laser, knobs) -> EmissionState:
-    """Set the frequency-knob vector and report the resulting emission."""
-    knobs = tuple(knobs)
-    if len(knobs) != len(laser.KNOB_NAMES):
-        raise KnobDimensionMismatch(
-            f"{type(laser).__name__} takes {len(laser.KNOB_NAMES)} knobs, got {len(knobs)}")
-    laser.set_knobs(knobs)
-    return laser.emission()
-
-
 # --------------------------------------------------------------------------
 # factory calibration
 
@@ -361,22 +338,6 @@ class CalibrationTable:
 
     def covers(self, channel: int) -> bool:
         return channel in self.entries
-
-    def to_text(self) -> str:
-        lines = [f"{ch}\t{','.join(repr(k) for k in e.knobs)}\t{e.residual_ghz!r}"
-                 for ch, e in sorted(self.entries.items())]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CalibrationTable":
-        entries = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            ch, knobs, residual = line.split("\t")
-            entries[int(ch)] = TableEntry(tuple(float(k) for k in knobs.split(",")),
-                                          float(residual))
-        return cls(entries)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -340,10 +340,6 @@ def path_gain(topo: Topology, frm: str, to: str, f_thz: float,
                           span_names=path.candidate.span_names)
 
 
-def received_power(tx_power_dbm: float, gain: PathGainResult) -> float:
-    return tx_power_dbm + gain.gain_db
-
-
 def crosstalk_margin(topo: Topology, sweeper: tuple[str, float, float],
                      victim_channel: int, victim_tx_power_dbm: float = 0.0) -> float:
     """Victim signal power minus sweeper leakage at the victim's receiver (dB).

@@ -210,12 +210,18 @@ def sweep_power(loss_est_db: float, cfg, margin_db: float = 3.0,
     return min(max_power_dbm, cfg.rx_sensitivity_dbm + loss_est_db + margin_db)
 
 
-def hold_step(offset_est_ghz: float, deadband_ghz: float = 1.0,
-              step_gain: float = 0.5, saturation_ghz: float = 2.0) -> float:
+# the hold law, shared by the RU and CO loops: no correction inside the
+# deadband, else half the estimate back, at most 2 GHz per step
+HOLD_DEADBAND_GHZ = 1.0
+HOLD_GAIN = 0.5
+HOLD_SATURATION_GHZ = 2.0
+
+
+def hold_step(offset_est_ghz: float, deadband_ghz: float = HOLD_DEADBAND_GHZ) -> float:
     """Knob correction for one hold-loop iteration (GHz)."""
     if abs(offset_est_ghz) <= deadband_ghz:
         return 0.0
-    return max(-saturation_ghz, min(saturation_ghz, -step_gain * offset_est_ghz))
+    return max(-HOLD_SATURATION_GHZ, min(HOLD_SATURATION_GHZ, -HOLD_GAIN * offset_est_ghz))
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,6 @@ class SweepPlan:
     f_stop_thz: float
     step_ghz: float = 12.5
     dwell_ms: float = 50.0
-    direction: str = "up"
 
     def __post_init__(self):
         if self.f_start_thz >= self.f_stop_thz or self.step_ghz <= 0 or self.dwell_ms <= 0:
@@ -243,10 +248,7 @@ class SweepPlan:
         return self.n_points * self.dwell_ms / 1000.0
 
     def frequency_thz(self, index: int) -> float:
-        i = index % self.n_points
-        if self.direction == "up":
-            return self.f_start_thz + i * self.step_ghz / 1000.0
-        return self.f_stop_thz - i * self.step_ghz / 1000.0
+        return self.f_start_thz + index % self.n_points * self.step_ghz / 1000.0
 
 
 def plan_sweep(band: FrequencyPlan, filter_b3_ghz: float, latency_worst_ms: float) -> SweepPlan:
@@ -276,7 +278,11 @@ def _evolve(obj, **changes):
 # --------------------------------------------------------------------------
 # RU machine
 
-SWEEP_LAP_LIMIT = 3
+SWEEP_LAP_LIMIT = 3             # alarm and stop after this many laps of the band
+LOCK_STEP_GHZ = 0.25            # fine tuning locks once a step is this small ...
+MIN_FINE_ROUNDS = 3             # ... after at least this many rounds
+HELLO_PERIOD_US = 500_000       # re-announcement after a path change
+HELLO_RETRY_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -294,13 +300,6 @@ class RuMachine:
     fine_rounds: int = 0
     hello_retries: int = 0
     settle_us: int = 1000
-    deadband_ghz: float = 1.0
-    hold_gain: float = 0.5
-    hold_saturation_ghz: float = 2.0
-    lock_step_threshold_ghz: float = 0.25
-    min_fine_rounds: int = 3
-    hello_period_us: int = 500_000
-    hello_retry_limit: int = 10
     co_tx_power_dbm: float = 0.0   # published system parameter
     sweep_margin_db: float = 3.0
     max_tx_power_dbm: float = 3.0
@@ -386,7 +385,7 @@ def _ru_msg(m: RuMachine, ev: MsgReceived):
         if m.state is RuState.FINE_TUNE:
             actions = (SetKnobs(step_ghz=step),) if step else ()
             rounds = m.fine_rounds + 1
-            if abs(step) <= m.lock_step_threshold_ghz and rounds >= m.min_fine_rounds:
+            if abs(step) <= LOCK_STEP_GHZ and rounds >= MIN_FINE_ROUNDS:
                 m2 = _evolve(m, state=RuState.LOCKED, fine_rounds=rounds,
                              current_offset_est=-step)
                 actions += (SetPower(m.full_power_dbm),
@@ -431,10 +430,10 @@ def _ru_timer(m: RuMachine, ev: TimerExpired):
     if ev.tag == "hello":
         if m.state is not RuState.FINE_TUNE:
             return m, ()
-        if m.hello_retries >= m.hello_retry_limit:
+        if m.hello_retries >= HELLO_RETRY_LIMIT:
             return m, (RaiseAlarm("no response to re-announcement"),)
         return _evolve(m, hello_retries=m.hello_retries + 1), \
-            (Send(hello()), ArmTimer("hello", m.hello_period_us))
+            (Send(hello()), ArmTimer("hello", HELLO_PERIOD_US))
 
     return m, ()
 
@@ -442,8 +441,7 @@ def _ru_timer(m: RuMachine, ev: TimerExpired):
 def _ru_drift_tick(m: RuMachine):
     if m.state not in (RuState.LOCKED, RuState.HOLD):
         return m, ()
-    step = hold_step(m.current_offset_est, m.deadband_ghz, m.hold_gain,
-                     m.hold_saturation_ghz)
+    step = hold_step(m.current_offset_est)
     if step == 0.0:
         if m.state is RuState.HOLD:
             return _evolve(m, state=RuState.LOCKED), ()
@@ -458,7 +456,7 @@ def _ru_link_down(m: RuMachine):
         # already tuned; re-announce so whichever CO now terminates the path
         # can confirm us
         m2 = _evolve(m, state=RuState.FINE_TUNE, fine_rounds=0, hello_retries=0)
-        return m2, (Send(hello()), ArmTimer("hello", m.hello_period_us))
+        return m2, (Send(hello()), ArmTimer("hello", HELLO_PERIOD_US))
     return m, ()
 
 
@@ -498,6 +496,13 @@ class PortSlot:
     below_sens_ticks: int = 0
 
 
+MONITOR_PERIOD_US = 1_000_000        # at most one hold correction per port per period
+ASSIGN_RESEND_PERIOD_US = 500_000
+ASSIGN_RESEND_LIMIT = 5
+REOFFER_PERIOD_US = 1_000_000        # slow poll while the port stays dark
+LOS_DEBOUNCE_TICKS = 3
+
+
 @dataclass(frozen=True)
 class CoMachine:
     """The constants every port of one CO shares."""
@@ -506,22 +511,14 @@ class CoMachine:
     rx_sensitivity_dbm: float = -40.0
     sweep_margin_db: float = 3.0
     max_tx_power_dbm: float = 3.0
-    deadband_ghz: float = 1.0
-    hold_gain: float = 0.5
-    hold_saturation_ghz: float = 2.0
-    monitor_period_us: int = 1_000_000
-    assign_resend_period_us: int = 500_000
-    assign_resend_limit: int = 5
-    reoffer_period_us: int = 1_000_000  # slow poll while the port stays dark
-    los_debounce_ticks: int = 3
 
 
 def _co_assign_frame(m: CoMachine, channel: int) -> MgmtFrame:
     return chan_assign(channel) if m.pairwise else tune_req(channel)
 
 
-def _quantized_step(offset_est_ghz, deadband_ghz, gain, saturation_ghz) -> float:
-    step = hold_step(offset_est_ghz, deadband_ghz, gain, saturation_ghz)
+def _quantized_step(offset_est_ghz: float, deadband_ghz: float) -> float:
+    step = hold_step(offset_est_ghz, deadband_ghz)
     return round(step * 10.0) / 10.0  # wire format carries 0.1 GHz units
 
 
@@ -555,8 +552,8 @@ def quiet_reading(m: CoMachine, slot: PortSlot, power_dbm: float,
     to clear, estimate in the deadband or a correction under a period old."""
     return slot.state is CoPortState.MONITOR and not slot.below_sens_ticks \
         and power_dbm >= m.rx_sensitivity_dbm and offset_est_ghz is not None \
-        and (abs(offset_est_ghz) <= m.deadband_ghz or slot.last_correct_us is not None
-             and time_us - slot.last_correct_us < m.monitor_period_us)
+        and (abs(offset_est_ghz) <= HOLD_DEADBAND_GHZ or slot.last_correct_us is not None
+             and time_us - slot.last_correct_us < MONITOR_PERIOD_US)
 
 
 def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
@@ -565,7 +562,7 @@ def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
             return slot, ()
         # no deadband while confirming: drive the RU onto the port centre,
         # a (near-)zero step doubles as the "you are centred" signal
-        step = _quantized_step(ev.offset_est_ghz, 0.0, m.hold_gain, m.hold_saturation_ghz)
+        step = _quantized_step(ev.offset_est_ghz, 0.0)
         return slot, (Send(hold_correct(step)),)
 
     if slot.state is CoPortState.MONITOR:
@@ -573,7 +570,7 @@ def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
             return slot, ()
         if ev.power_dbm < m.rx_sensitivity_dbm:
             ticks = slot.below_sens_ticks + 1
-            if ticks >= m.los_debounce_ticks:
+            if ticks >= LOS_DEBOUNCE_TICKS:
                 slot2 = _evolve(slot, state=CoPortState.WAIT_DETECT,
                                 below_sens_ticks=0, assign_resends=0)
                 return slot2, (RaiseAlarm("loss of signal"),)
@@ -582,11 +579,10 @@ def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
         if ev.offset_est_ghz is None:
             return slot2, ()
         due = slot.last_correct_us is None or \
-            ev.time_us - slot.last_correct_us >= m.monitor_period_us
+            ev.time_us - slot.last_correct_us >= MONITOR_PERIOD_US
         if not due:
             return slot2, ()
-        step = _quantized_step(ev.offset_est_ghz, m.deadband_ghz, m.hold_gain,
-                               m.hold_saturation_ghz)
+        step = _quantized_step(ev.offset_est_ghz, HOLD_DEADBAND_GHZ)
         if step == 0.0:
             return slot2, ()
         return _evolve(slot2, last_correct_us=ev.time_us), (Send(hold_correct(step)),)
@@ -597,12 +593,12 @@ def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
 def _co_timer(m: CoMachine, slot: PortSlot, ev: TimerExpired):
     if ev.tag != "assign" or slot.state is not CoPortState.WAIT_DETECT:
         return slot, ()
-    if slot.assign_resends < m.assign_resend_limit:
+    if slot.assign_resends < ASSIGN_RESEND_LIMIT:
         slot2 = _evolve(slot, assign_resends=slot.assign_resends + 1)
-        period = m.assign_resend_period_us
+        period = ASSIGN_RESEND_PERIOD_US
     else:
         slot2 = slot  # fast retries exhausted: keep polling slowly
-        period = m.reoffer_period_us
+        period = REOFFER_PERIOD_US
     return slot2, (Send(_co_assign_frame(m, slot.channel)), ArmTimer("assign", period))
 
 
@@ -613,7 +609,7 @@ def co_transition(m: CoMachine, slot: PortSlot, event):
     if isinstance(event, NmsAssign):
         return PortSlot(CoPortState.WAIT_DETECT, channel=event.channel), \
             (Send(_co_assign_frame(m, event.channel)),
-             ArmTimer("assign", m.assign_resend_period_us))
+             ArmTimer("assign", ASSIGN_RESEND_PERIOD_US))
     if isinstance(event, MsgReceived):
         return _co_msg(m, slot, event)
     if isinstance(event, PortPower):
@@ -629,8 +625,6 @@ def co_transition(m: CoMachine, slot: PortSlot, event):
 def simulate_hold_loop(duration_s: float = 86_400.0, step_s: float = 1.0,
                        drift: DriftModel | None = None,
                        noise_sigma_ghz: float = 0.5,
-                       deadband_ghz: float = 1.0, gain: float = 0.5,
-                       saturation_ghz: float = 2.0,
                        seeds=range(20), enabled: bool = True) -> np.ndarray:
     """Max |frequency offset| per seed over a drift + correction run.
 
@@ -657,8 +651,8 @@ def simulate_hold_loop(duration_s: float = 86_400.0, step_s: float = 1.0,
         offset = drift_off + correction
         if enabled:
             est = offset + noises[:, t]
-            step = np.where(np.abs(est) <= deadband_ghz, 0.0,
-                            np.clip(-gain * est, -saturation_ghz, saturation_ghz))
+            step = np.where(np.abs(est) <= HOLD_DEADBAND_GHZ, 0.0,
+                            np.clip(-HOLD_GAIN * est, -HOLD_SATURATION_GHZ, HOLD_SATURATION_GHZ))
             step = np.round(step * 10.0) / 10.0
             correction += step
             offset = drift_off + correction

