@@ -28,8 +28,10 @@ associations in assignment order.  Every port is sampled and draws its
 noise, but the CO machine gets no reading it would return unchanged: none
 of a WAIT_DETECT port, which waits for a decoded HELLO, and no quiet MONITOR
 reading (``protocol.quiet_reading``).  A tuner's laser emission is cached
-until the engine changes that laser (knobs, power or drift), and each
-port's path gain until the plant or the frequency changes.
+until the engine changes that laser (knobs, power or drift).  Each
+association memoises its reading (power, true offset, quiet window) until
+the plant, its slot or its RU's emission changes, and a noise draw inside
+the quiet window (``protocol.quiet_window``) stops at one comparison.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .protocol import (
     ArmTimer, CoMachine, CoPortState, DriftTick, LinkDown, MsgReceived,
     NmsAssign, PortPower, PortSlot, PowerOn, RaiseAlarm, Role, RuMachine,
     RuState, Send, SetKnobs, SetPower, TimerExpired, co_transition,
-    plan_sweep, quiet_reading, ru_transition,
+    plan_sweep, quiet_reading, quiet_window, ru_transition,
 )
 
 PROPAGATION_US_PER_KM = 5.0
@@ -424,6 +426,21 @@ class CoEntity:
         return assoc
 
 
+@dataclass(slots=True)
+class Reading:
+    """A monitor sample of one association before its noise, kept while the plant,
+    slot and RU emission are the same objects (each is replaced, never changed)."""
+    plant: link.Plant
+    slot: PortSlot
+    ru: RuEntity
+    state: EmissionState
+    power_dbm: float
+    offset_ghz: float                           # true offset from the port centre
+    noise_ghz: float
+    quiet_lo: float                             # protocol.quiet_window
+    quiet_hi: float
+
+
 @dataclass(eq=False)
 class Association:
     """The management channel of one CO port and the RU on its channel."""
@@ -432,8 +449,7 @@ class Association:
     name: str                                   # trace entity "<co>.p<port>"
     seq: Iterator[int]                          # the CO's, shared by its ports
     slot: PortSlot = PortSlot()
-    # (plant, frequency, gain or None), see Sim._port_gain
-    gain: tuple | None = None
+    reading: Reading | None = None              # see Sim._read
     # (plant, frequency, power) of its last send that passed the downstream
     # isolation check
     isolated: tuple | None = None
@@ -970,51 +986,53 @@ class Sim:
         """Sample each of the CO's ticking ports, in assignment order.  A port
         leaves the chain once its slot is IDLE or no RU sits on its channel."""
         run, rus, now, sens = self.scenario.run, self.rus, self.now_us, self.mgmt.rx_sensitivity_dbm
-        ru_by_channel, center_thz = self.topology.plant.ru_by_channel, self.plan.center_thz
-        emission, port_gain, meas_normal = self._emission, self._port_gain, self._meas_normal
-        ticking = []
+        plant, meas_normal, ticking = self.topology.plant, self._meas_normal, []
         for assoc in co.ticking:
-            slot, port = assoc.slot, assoc.port
-            ru_name = ru_by_channel.get(port)
-            if slot.state is CoPortState.IDLE or ru_name is None:
-                continue
+            slot, reading = assoc.slot, assoc.reading
+            # a kept reading has this slot and plant, so its port still ticks
+            if reading is None or reading.plant is not plant or reading.slot is not slot \
+                    or reading.state is not reading.ru.emission:
+                ru_name = plant.ru_by_channel.get(assoc.port)
+                if slot.state is CoPortState.IDLE or ru_name is None:
+                    continue
+                reading = assoc.reading = self._read(assoc, rus[ru_name])
             ticking.append(assoc)
-            state = emission(rus[ru_name])
-            gain = port_gain(assoc, ru_name, state.frequency_thz)
-            power = -math.inf if gain is None else state.power_dbm + gain
-            noise = run.measurement_noise_ghz
-            if slot.state is CoPortState.CONFIRMING:
-                noise /= 4.0  # confirmation integrates 16x longer than a hold tick
             offset_est = None
-            if power >= sens:
-                true_off = (state.frequency_thz - center_thz(port)) * 1000.0
-                sample = true_off + (noise * meas_normal(co) if noise > 0 else 0.0)
+            if reading.power_dbm >= sens:
+                sample = reading.offset_ghz
+                if reading.noise_ghz > 0:
+                    z = meas_normal(co)
+                    if reading.quiet_lo < z < reading.quiet_hi:
+                        continue        # quiet_reading would be true
+                    sample += reading.noise_ghz * z
                 offset_est = round(sample * 10.0) / 10.0
             # co_transition would return a WAIT_DETECT port's or a quiet reading unchanged
             if slot.state is CoPortState.CONFIRMING or run.hold_enabled and \
                     slot.state is CoPortState.MONITOR and \
-                    not quiet_reading(co.machine, slot, power, offset_est, now):
-                self._run_co(assoc, PortPower(power, offset_est, time_us=now))
+                    not quiet_reading(co.machine, slot, reading.power_dbm, offset_est, now):
+                self._run_co(assoc, PortPower(reading.power_dbm, offset_est, time_us=now))
         co.ticking = ticking
         nxt = now + self._monitor_tick_us
         if ticking and nxt <= self.horizon_us:
             self._schedule(nxt, Sim._monitor_tick, co)
 
-    def _port_gain(self, assoc: Association, ru_name: str, f_thz: float) -> float | None:
-        """Gain from the RU ``ru_name`` into the association's port; None when
-        the RU transmits toward no CO or the other one (directional add).
-        Kept on the association until the plant or the frequency changes."""
-        plant = self.topology.plant
-        memo = assoc.gain
-        if memo is not None and memo[0] is plant and memo[1] == f_thz:
-            return memo[2]
+    def _read(self, assoc: Association, ru: RuEntity) -> Reading:
+        """A fresh reading of ``ru`` at the association's port; no power (-inf)
+        when the RU transmits toward no CO or the other one (directional add)."""
+        plant, slot, state = self.topology.plant, assoc.slot, self._emission(ru)
         try:
-            path = plant.active_path(ru_name)
-            gain = plant.gain_db(path, f_thz, assoc.port) if path.co == assoc.co.name else None
+            path = plant.active_path(ru.name)
+            gain = plant.gain_db(path, state.frequency_thz, assoc.port) \
+                if path.co == assoc.co.name else None
         except NoPath:
             gain = None
-        assoc.gain = (plant, f_thz, gain)
-        return gain
+        power = -math.inf if gain is None else state.power_dbm + gain
+        offset = (state.frequency_thz - self.plan.center_thz(assoc.port)) * 1000.0
+        noise = self.scenario.run.measurement_noise_ghz
+        if slot.state is CoPortState.CONFIRMING:
+            noise /= 4.0  # confirmation integrates 16x longer than a hold tick
+        return Reading(plant, slot, ru, state, power, offset, noise,
+                       *quiet_window(assoc.co.machine, slot, power, offset, noise))
 
     @staticmethod
     def _meas_normal(co: CoEntity) -> float:

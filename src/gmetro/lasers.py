@@ -141,15 +141,13 @@ class MemsVcselModel:
 # --------------------------------------------------------------------------
 # Thermal DBR: Bragg grating selects the mode comb point nearest its peak.
 # Knobs: grating temperature (coarse via the ~0.1 nm/K index shift) and a
-# phase section shifting the cavity comb.  The polymer-waveguide variant
-# reaches its shift budget at 0.52 nm per mW of heater power.
+# phase section shifting the cavity comb.
 
 @dataclass
 class ThermalDbrModel:
     bragg_wavelength_ref_nm: float = 1552.52
     t_ref_k: float = 300.0
     dlambda_dt_nm_per_k: float = 0.1
-    tuning_efficiency_nm_per_mw: float = 0.52
     grating_temp_k: float = 300.0
     phase_shift: float = 0.0            # fraction of one cavity FSR
     cavity_fsr_ghz: float = 50.0        # invented default, see config docs

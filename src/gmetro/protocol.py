@@ -556,6 +556,19 @@ def quiet_reading(m: CoMachine, slot: PortSlot, power_dbm: float,
              and time_us - slot.last_correct_us < MONITOR_PERIOD_US)
 
 
+def quiet_window(m: CoMachine, slot: PortSlot, power_dbm: float, offset_ghz: float,
+                 noise_ghz: float) -> tuple[float, float]:
+    """Open interval of standard normals z for which the engine's estimate
+    ``round((offset + noise * z) * 10) / 10`` makes quiet_reading true.  Empty unless
+    the slot is MONITOR, below_sens_ticks is 0, power >= sensitivity and noise > 0."""
+    if slot.state is not CoPortState.MONITOR or slot.below_sens_ticks \
+            or not power_dbm >= m.rx_sensitivity_dbm or not noise_ghz > 0:
+        return 0.0, 0.0
+    # half a 0.1 GHz estimate step past the deadband, less a margin for float rounding
+    edge = HOLD_DEADBAND_GHZ + 0.05 - 1e-6
+    return (-edge - offset_ghz) / noise_ghz, (edge - offset_ghz) / noise_ghz
+
+
 def _co_port_power(m: CoMachine, slot: PortSlot, ev: PortPower):
     if slot.state is CoPortState.CONFIRMING:
         if ev.power_dbm < m.rx_sensitivity_dbm or ev.offset_est_ghz is None:

